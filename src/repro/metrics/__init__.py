@@ -1,7 +1,8 @@
 """Metrics and reporting utilities.
 
-* :mod:`repro.metrics.stats` — counters, running statistics, histograms
-  and time series used by long-running simulations;
+* :mod:`repro.metrics.stats` — counters, running statistics and time
+  series used by long-running simulations (latency histograms live in
+  :mod:`repro.trace.histogram`);
 * :mod:`repro.metrics.reporting` — plain-text tables and series
   renderers so every experiment prints the same rows the paper's
   figures plot;
@@ -20,12 +21,11 @@ from repro.metrics.reporting import (
     format_table,
     format_tier_breakdown,
 )
-from repro.metrics.stats import Counter, Histogram, RunningStats, TimeSeries
+from repro.metrics.stats import Counter, RunningStats, TimeSeries
 
 __all__ = [
     "BalanceMetrics",
     "Counter",
-    "Histogram",
     "coefficient_of_variation",
     "RecoveryTracker",
     "RunningStats",

@@ -65,43 +65,6 @@ class RunningStats:
         }
 
 
-class Histogram:
-    """Fixed-bucket histogram with percentile estimation.
-
-    Buckets grow geometrically from ``least`` — appropriate for latency
-    measurements spanning nanoseconds to seconds.
-    """
-
-    def __init__(self, least=1e-7, factor=2.0, buckets=40):
-        if least <= 0 or factor <= 1 or buckets < 1:
-            raise ValueError("invalid histogram shape")
-        self.bounds = [least * (factor ** i) for i in range(buckets)]
-        self.counts = [0] * (buckets + 1)
-        self.total = 0
-
-    def record(self, value):
-        self.total += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    def percentile(self, fraction):
-        """Upper bound of the bucket containing the requested quantile."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        if self.total == 0:
-            return 0.0
-        target = fraction * self.total
-        seen = 0
-        for i, count in enumerate(self.counts):
-            seen += count
-            if seen >= target:
-                return self.bounds[min(i, len(self.bounds) - 1)]
-        return self.bounds[-1]
-
-
 class TimeSeries:
     """(time, value) samples with simple window aggregation."""
 

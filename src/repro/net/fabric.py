@@ -48,6 +48,7 @@ class Fabric:
         self._down_nodes = set()
         self._down_links = set()  # directed (src, dst) pairs
         self._degraded = {}  # node_id -> latency/bandwidth multiplier
+        self._lane_order = {}  # (src, dst) -> (first lane, second lane)
         self._core = (
             Resource(env, capacity=core_concurrency, name="fabric-core")
             if core_concurrency > 0 else None
@@ -260,19 +261,32 @@ class Fabric:
             for lane, request in granted:
                 lane.release(request)
 
+    def _lanes(self, src, dst):
+        """The TX lane of ``src`` and RX lane of ``dst``, in acquisition order.
+
+        Lanes are acquired in a canonical global order, the string order
+        of the keys ``"<src>:tx"`` and ``"<dst>:rx"`` (``_fanout`` sorts
+        by the same keys), so that concurrent transfers can never
+        hold-and-wait in a cycle (deadlock).  The two keys never tie, and
+        the order of a pair never changes, so it is worked out once.
+        """
+        lanes = self._lane_order.get((src, dst))
+        if lanes is None:
+            tx, rx = self._nics[src].tx, self._nics[dst].rx
+            if "{}:tx".format(src) < "{}:rx".format(dst):
+                lanes = (tx, rx)
+            else:
+                lanes = (rx, tx)
+            self._lane_order[(src, dst)] = lanes
+        return lanes
+
     def _transfer(self, src, dst, nbytes, base_latency=None):
         self._check_path(src, dst)
         src_nic = self._nics[src]
         dst_nic = self._nics[dst]
-        # Acquire lanes in a canonical global order so that concurrent
-        # transfers can never hold-and-wait in a cycle (deadlock).
-        lanes = sorted(
-            [("{}:tx".format(src), src_nic.tx), ("{}:rx".format(dst), dst_nic.rx)],
-            key=lambda pair: pair[0],
-        )
         granted = []
         try:
-            for _key, lane in lanes:
+            for lane in self._lanes(src, dst):
                 request = lane.request()
                 yield request
                 granted.append((lane, request))

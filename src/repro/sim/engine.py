@@ -4,14 +4,16 @@ import heapq
 from itertools import count
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import (  # noqa: F401  (priorities re-exported)
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    AllOf,
+    AnyOf,
+    Event,
+    Timeout,
+)
 from repro.sim.process import Process
 from repro.trace.runtime import tracer_for_env
-
-#: Scheduling priorities. Events pushed at the same timestamp fire in
-#: priority order, then insertion order, which keeps runs deterministic.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
 
 
 class EmptySchedule(SimulationError):
@@ -54,7 +56,7 @@ class Environment:
 
     def timeout(self, delay, value=None):
         """Create an event that succeeds ``delay`` time units from now."""
-        return Timeout(self, delay, value=value)
+        return Timeout(self, delay, value)
 
     def process(self, generator, name=None):
         """Register ``generator`` as a new :class:`Process` starting now."""

@@ -7,9 +7,16 @@ wait on events by yielding them; composite conditions (:class:`AllOf`,
 :class:`AnyOf`) are themselves events.
 """
 
+from heapq import heappush
+
 from repro.sim.errors import EventAlreadyTriggered
 
 _PENDING = object()
+
+#: Scheduling priorities. Events pushed at the same timestamp fire in
+#: priority order, then insertion order, which keeps runs deterministic.
+PRIORITY_URGENT = 0
+PRIORITY_NORMAL = 1
 
 
 class Event:
@@ -21,7 +28,13 @@ class Event:
         The :class:`~repro.sim.engine.Environment` the event belongs to.
     name:
         Optional label used in ``repr`` for debugging.
+
+    Events are created once per simulated step, so the class is slotted
+    and a subclass's default label is built by :meth:`_label` only when
+    ``repr`` asks for it.
     """
+
+    __slots__ = ("env", "name", "callbacks", "_value", "_ok")
 
     def __init__(self, env, name=None):
         self.env = env
@@ -31,11 +44,13 @@ class Event:
         self._ok = None
 
     def __repr__(self):
-        label = self.name or self.__class__.__name__
         state = "pending"
         if self.triggered:
             state = "ok" if self._ok else "failed"
-        return "<{} {}>".format(label, state)
+        return "<{} {}>".format(self._label(), state)
+
+    def _label(self):
+        return self.name or self.__class__.__name__
 
     @property
     def triggered(self):
@@ -93,14 +108,22 @@ class Event:
 class Timeout(Event):
     """An event that succeeds after a relative simulated ``delay``."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env, delay, value=None, name=None):
         if delay < 0:
             raise ValueError("negative delay: {!r}".format(delay))
-        super().__init__(env, name=name or "Timeout({})".format(delay))
+        self.env = env
+        self.name = name
+        self.callbacks = []
         self.delay = delay
         self._ok = True
         self._value = value
-        env._push(self, delay=delay)
+        # The entry ``env._push(self, delay=delay)`` would make.
+        heappush(env._heap, (env.now + delay, PRIORITY_NORMAL, next(env._seq), self))
+
+    def _label(self):
+        return self.name or "Timeout({})".format(self.delay)
 
 
 class ConditionValue(dict):

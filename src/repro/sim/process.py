@@ -8,9 +8,25 @@ triggers when the generator returns, so processes can wait on each
 other simply by yielding them.
 """
 
-from repro.sim import engine as _engine
 from repro.sim.errors import Interrupt, StopProcess
-from repro.sim.events import Event
+from repro.sim.events import PRIORITY_URGENT, Event
+
+
+class Initialize(Event):
+    """The already-successful event that starts a process at ``now``."""
+
+    __slots__ = ("process",)
+
+    def __init__(self, env, process):
+        super().__init__(env)
+        self.process = process
+        self._ok = True
+        self._value = None
+        self.callbacks.append(process._resume)
+        env._push(self, priority=PRIORITY_URGENT)
+
+    def _label(self):
+        return "init:{}".format(self.process.name)
 
 
 class Process(Event):
@@ -26,11 +42,7 @@ class Process(Event):
         self._target = None
         # Kick the generator off via an already-successful init event so
         # the first body statement runs at the current simulated time.
-        init = Event(env, name="init:{}".format(self.name))
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._resume)
-        env._push(init, priority=_engine.PRIORITY_URGENT)
+        Initialize(env, self)
 
     @property
     def is_alive(self):
@@ -58,7 +70,7 @@ class Process(Event):
         poke._ok = False
         poke._value = Interrupt(cause)
         poke.callbacks.append(self._resume)
-        self.env._push(poke, priority=_engine.PRIORITY_URGENT)
+        self.env._push(poke, priority=PRIORITY_URGENT)
 
     # -- internal ----------------------------------------------------------
 
@@ -109,5 +121,5 @@ class Process(Event):
             proxy._ok = target._ok
             proxy._value = target._value
             proxy.callbacks.append(self._resume)
-            self.env._push(proxy, priority=_engine.PRIORITY_URGENT)
+            self.env._push(proxy, priority=PRIORITY_URGENT)
             self._target = proxy

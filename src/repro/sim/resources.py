@@ -21,6 +21,7 @@ or, equivalently, with the context-manager form::
 """
 
 import heapq
+from collections import deque
 from itertools import count
 
 from repro.sim.events import Event
@@ -30,8 +31,11 @@ class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
     def __init__(self, resource):
-        super().__init__(resource.env, name="request:{}".format(resource.name))
+        super().__init__(resource.env)
         self.resource = resource
+
+    def _label(self):
+        return "request:{}".format(self.resource.name)
 
     def __enter__(self):
         return self
@@ -55,7 +59,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.users = set()
-        self._queue = []
+        self._queue = deque()
 
     @property
     def count(self):
@@ -86,7 +90,7 @@ class Resource:
 
     def _grant(self):
         while self._queue and len(self.users) < self.capacity:
-            request = self._queue.pop(0)
+            request = self._queue.popleft()
             self.users.add(request)
             request.succeed()
 
@@ -138,8 +142,8 @@ class Container:
         self.capacity = capacity
         self.name = name
         self.level = init
-        self._getters = []  # (amount, event)
-        self._putters = []  # (amount, event)
+        self._getters = deque()  # (amount, event)
+        self._putters = deque()  # (amount, event)
 
     def put(self, amount):
         """Event that succeeds once ``amount`` fits under ``capacity``."""
@@ -166,14 +170,14 @@ class Container:
             if self._putters:
                 amount, event = self._putters[0]
                 if self.level + amount <= self.capacity:
-                    self._putters.pop(0)
+                    self._putters.popleft()
                     self.level += amount
                     event.succeed(amount)
                     progressed = True
             if self._getters:
                 amount, event = self._getters[0]
                 if amount <= self.level:
-                    self._getters.pop(0)
+                    self._getters.popleft()
                     self.level -= amount
                     event.succeed(amount)
                     progressed = True
@@ -186,9 +190,9 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self.items = []
-        self._getters = []
-        self._putters = []  # (item, event)
+        self.items = deque()
+        self._getters = deque()
+        self._putters = deque()  # (item, event)
 
     def __len__(self):
         return len(self.items)
@@ -212,11 +216,11 @@ class Store:
         while progressed:
             progressed = False
             if self._putters and len(self.items) < self.capacity:
-                item, event = self._putters.pop(0)
+                item, event = self._putters.popleft()
                 self.items.append(item)
                 event.succeed(item)
                 progressed = True
             if self._getters and self.items:
-                event = self._getters.pop(0)
-                event.succeed(self.items.pop(0))
+                event = self._getters.popleft()
+                event.succeed(self.items.popleft())
                 progressed = True

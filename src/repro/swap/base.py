@@ -140,9 +140,9 @@ class VirtualMemory:
         self.cpu = cpu or CpuSpec()
         self.prefetch_capacity = prefetch_capacity
         self.compute_per_access = compute_per_access
-        #: Optional :class:`repro.metrics.stats.Histogram`: when set,
-        #: every major fault's service time is recorded, so experiments
-        #: can report tail latency per backend.
+        #: Optional :class:`repro.trace.histogram.LatencyHistogram`:
+        #: when set, every major fault's service time is recorded, so
+        #: experiments can report tail latency per backend.
         self.fault_histogram = fault_histogram
         self.resident = OrderedDict()
         self.prefetch = OrderedDict()

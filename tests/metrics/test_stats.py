@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics import Counter, Histogram, RunningStats, TimeSeries
+from repro.metrics import Counter, RunningStats, TimeSeries
 
 
 def test_counter():
@@ -39,30 +39,6 @@ def test_running_stats_single_sample():
     stats.record(7.0)
     assert stats.mean == 7.0
     assert stats.variance == 0.0
-
-
-def test_histogram_percentiles():
-    histogram = Histogram(least=1.0, factor=2.0, buckets=10)
-    for value in (1, 2, 4, 8, 16):
-        histogram.record(value)
-    assert histogram.percentile(0.0) <= histogram.percentile(1.0)
-    assert histogram.percentile(1.0) >= 16
-
-
-def test_histogram_validation():
-    with pytest.raises(ValueError):
-        Histogram(least=0)
-    histogram = Histogram()
-    with pytest.raises(ValueError):
-        histogram.percentile(2.0)
-    assert histogram.percentile(0.5) == 0.0  # empty
-
-
-def test_histogram_overflow_bucket():
-    histogram = Histogram(least=1.0, factor=2.0, buckets=2)
-    histogram.record(1e9)
-    assert histogram.total == 1
-    assert histogram.percentile(1.0) == histogram.bounds[-1]
 
 
 def test_timeseries_window_means():

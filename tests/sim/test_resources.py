@@ -73,6 +73,20 @@ def test_resource_cancel_pending_request():
     assert not second.triggered
 
 
+def test_cancel_spares_granted_requests_and_keeps_fifo_order():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    held, first, dropped, last = (resource.request() for _ in range(4))
+    dropped.cancel()
+    held.cancel()  # already granted: a no-op
+    assert resource.count == 1 and resource.queue_length == 2
+    resource.release(held)
+    assert first.triggered and not last.triggered
+    resource.release(first)
+    assert last.triggered and not dropped.triggered
+    assert resource.queue_length == 0
+
+
 def test_priority_resource_orders_waiters():
     env = Environment()
     resource = PriorityResource(env, capacity=1)
