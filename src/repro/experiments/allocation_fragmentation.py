@@ -135,13 +135,15 @@ def churn_pool(pool, rng, cycles, drain_fraction):
     high while nothing entry-sized fits.  Returns the live entries.
     """
     live = []
+    random = rng.random
+    reserve_entry = pool.reserve_entry
 
     def fill():
         while True:
-            order = sorted(SMALL_SIZES, key=lambda _size: rng.random())
+            order = sorted(SMALL_SIZES, key=lambda _size: random())
             placed = False
             for size in order:
-                entry = pool.reserve_entry(size)
+                entry = reserve_entry(size)
                 if entry is not None:
                     live.append(entry)
                     placed = True

@@ -88,6 +88,8 @@ class SlabAllocator:
         self._free_slabs = [
             _Slab(i, slab_bytes) for i in range(self.capacity_bytes // slab_bytes)
         ]
+        #: Id for the next slab :meth:`grow` adds; never reused.
+        self._next_slab_id = len(self._free_slabs)
         self._class_slabs = {c: [] for c in size_classes}
         self.allocated_chunks = 0
         self.stored_payload_bytes = 0  # what callers asked for
@@ -283,9 +285,10 @@ class SlabAllocator:
         """Add ``slab_count`` fresh slabs to the pool."""
         if slab_count < 0:
             raise ValueError("slab_count must be >= 0")
-        base = self._next_slab_id()
+        base = self._next_slab_id
         for i in range(slab_count):
             self._free_slabs.append(_Slab(base + i, self.slab_bytes))
+        self._next_slab_id = base + slab_count
         self.capacity_bytes += slab_count * self.slab_bytes
 
     def shrink(self, slab_count):
@@ -305,15 +308,6 @@ class SlabAllocator:
         so the arena-style consolidation pass has nothing to do here.
         """
         return 0
-
-    def _next_slab_id(self):
-        highest = -1
-        for slab in self._free_slabs:
-            highest = max(highest, slab.slab_id)
-        for slabs in self._class_slabs.values():
-            for slab in slabs:
-                highest = max(highest, slab.slab_id)
-        return highest + 1
 
     def _slab_with_space(self, chunk_size):
         for slab in self._class_slabs[chunk_size]:

@@ -33,6 +33,7 @@ reporting surface, so pools and tiers can switch policy by name via
 """
 
 import heapq
+from bisect import bisect_left, insort
 
 from repro.mem.allocator import AllocationError, SlabAllocator
 from repro.mem.fragstats import FragmentationStats, build_histogram
@@ -94,7 +95,11 @@ class Extent:
 
 
 class _Run:
-    """An extent carved into equal regions of one size class."""
+    """An extent carved into equal regions of one size class.
+
+    Hashed by identity: :class:`Arena` keeps each class's runs as the
+    keys of an insertion-ordered dict so reclaiming one is O(1).
+    """
 
     __slots__ = ("extent", "chunk_size", "regions", "free_indices", "used",
                  "allocations")
@@ -153,7 +158,14 @@ class Arena:
         self._free = []  # Extents sorted by offset.
         if self.capacity_bytes:
             self._free.append(Extent(0, self.capacity_bytes))
-        self._runs = {chunk_size: [] for chunk_size in self.size_classes}
+        #: chunk_size -> {run: None}, in run-creation order.
+        self._runs = {chunk_size: {} for chunk_size in self.size_classes}
+        # The open-run index: per class, the runs with at least one free
+        # region, as ascending extent offsets plus an offset -> run map.
+        # ``allocate`` takes the lowest offset instead of scanning runs.
+        self._open_offsets = {}
+        self._open_runs = {}
+        self._reindex()
         self._large = []
         self.payload_bytes = 0
         self.live_bytes = 0
@@ -215,10 +227,11 @@ class Arena:
 
     def class_for(self, nbytes):
         """Smallest size class fitting ``nbytes`` (None when large)."""
-        for chunk_size in self.size_classes:
-            if nbytes <= chunk_size:
-                return chunk_size
-        return None
+        size_classes = self.size_classes
+        position = bisect_left(size_classes, nbytes)
+        if position == len(size_classes):
+            return None
+        return size_classes[position]
 
     def run_bytes(self, chunk_size):
         """Extent size backing a run of ``chunk_size`` regions."""
@@ -330,19 +343,16 @@ class Arena:
         chunk_size = self.class_for(nbytes)
         if chunk_size is None:
             return self._allocate_large(nbytes)
-        run = None
-        for candidate in self._runs[chunk_size]:
-            if candidate.free_indices and (
-                run is None or candidate.extent.offset < run.extent.offset
-            ):
-                run = candidate
-        if run is None:
+        offsets = self._open_offsets[chunk_size]
+        if offsets:
+            run = self._open_runs[chunk_size][offsets[0]]
+        else:
             run = self._new_run(chunk_size)
         index = heapq.heappop(run.free_indices)
+        if not run.free_indices:
+            self._close_run(run)
         run.used += 1
-        allocation = Allocation(
-            chunk_size, nbytes, run=run, index=index
-        )
+        allocation = Allocation(chunk_size, nbytes, run, index)
         run.allocations[index] = allocation
         self.live_bytes += chunk_size
         self.payload_bytes += nbytes
@@ -358,9 +368,33 @@ class Arena:
                 )
             )
         run = _Run(Extent(offset, nbytes), chunk_size, regions)
-        self._runs[chunk_size].append(run)
+        self._runs[chunk_size][run] = None
+        self._open_run(run)
         self.metadata_bytes += metadata
         return run
+
+    def _open_run(self, run):
+        """Index a run that has just gained a free region."""
+        offset = run.extent.offset
+        insort(self._open_offsets[run.chunk_size], offset)
+        self._open_runs[run.chunk_size][offset] = run
+
+    def _close_run(self, run):
+        """Drop a run that filled up or is being reclaimed from the index."""
+        offset = run.extent.offset
+        offsets = self._open_offsets[run.chunk_size]
+        del offsets[bisect_left(offsets, offset)]
+        del self._open_runs[run.chunk_size][offset]
+
+    def _reindex(self):
+        """Rebuild the open-run index from the runs (at set-up and after
+        compaction, which moves run offsets)."""
+        for chunk_size, runs in self._runs.items():
+            open_runs = {
+                run.extent.offset: run for run in runs if run.free_indices
+            }
+            self._open_runs[chunk_size] = open_runs
+            self._open_offsets[chunk_size] = sorted(open_runs)
 
     def _allocate_large(self, nbytes):
         block = _round_up(nbytes, EXTENT_QUANTUM)
@@ -392,16 +426,21 @@ class Arena:
             return
         run = allocation.run
         del run.allocations[allocation.index]
+        was_full = not run.free_indices
         heapq.heappush(run.free_indices, allocation.index)
         run.used -= 1
         self.live_bytes -= allocation.block_bytes
         self.payload_bytes -= allocation.payload_bytes
         if run.used == 0:
+            if not was_full:
+                self._close_run(run)
             chunk_size = run.chunk_size
             _nbytes, _regions, metadata = self._run_layout(chunk_size)
-            self._runs[chunk_size].remove(run)
+            del self._runs[chunk_size][run]
             self.metadata_bytes -= metadata
             self._release_extent(run.extent.offset, run.extent.length)
+        elif was_full:
+            self._open_run(run)
 
     def allocate_entry(self, nbytes):
         """Allocate a list of blocks covering ``nbytes``, all or nothing.
@@ -411,6 +450,8 @@ class Arena:
         """
         if nbytes <= 0:
             raise ValueError("nbytes must be positive")
+        if nbytes <= self.max_small:
+            return [self.allocate(nbytes)]
         blocks = []
         remaining = nbytes
         try:
@@ -479,6 +520,7 @@ class Arena:
         for chunk_size in self.size_classes:
             moved += self._consolidate_class(chunk_size)
         moved += self._pack()
+        self._reindex()
         self.compactions += 1
         return moved
 
@@ -512,7 +554,7 @@ class Arena:
         for run in runs:
             if run.used == 0:
                 _nbytes, _regions, metadata = self._run_layout(chunk_size)
-                self._runs[chunk_size].remove(run)
+                del self._runs[chunk_size][run]
                 self.metadata_bytes -= metadata
                 self._release_extent(run.extent.offset, run.extent.length)
         return moved

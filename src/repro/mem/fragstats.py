@@ -25,6 +25,7 @@ Definitions (all byte counts, all at snapshot time):
   number harvest policies should plan against, not raw ``free``.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -42,11 +43,13 @@ def build_histogram(sizes):
     JSON-friendly, mergeable summary of the free-space shape.
     """
     counts = {}
-    for size in sizes:
+    # Free structures repeat a few region sizes many times over, so
+    # bucket each distinct size once.
+    for size, repeats in Counter(sizes).items():
         if size < 1:
             continue
         bucket = log2_bucket(size)
-        counts[bucket] = counts.get(bucket, 0) + 1
+        counts[bucket] = counts.get(bucket, 0) + repeats
     return tuple(sorted(counts.items()))
 
 

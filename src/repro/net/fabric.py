@@ -111,6 +111,8 @@ class Fabric:
 
     def degrade_factor(self, src, dst):
         """The latency multiplier currently applied to ``src -> dst``."""
+        if not self._degraded:
+            return 1.0
         return max(
             1.0,
             self._degraded.get(src, 1.0),

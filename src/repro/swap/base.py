@@ -279,7 +279,9 @@ class VirtualMemory:
 
     def flush(self):
         """Generator: charge accumulated cheap-path time (end of run)."""
-        yield from self._flush_pending()
+        if self._pending_time > 0.0:
+            pending, self._pending_time = self._pending_time, 0.0
+            yield self.env.timeout(pending)
         yield from self.backend.drain()
 
     # -- internals ----------------------------------------------------------

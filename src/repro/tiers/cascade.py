@@ -23,7 +23,7 @@ swapped-out, undiscarded page lives in exactly one tier at all times.
 from repro.core.errors import NoRemoteCapacity
 from repro.hw.latency import PAGE_SIZE
 from repro.swap.base import SwapBackend
-from repro.tiers.base import TierFull
+from repro.tiers.base import Tier, TierFull
 
 
 class CascadeFull(NoRemoteCapacity):
@@ -186,6 +186,11 @@ class TierCascade(SwapBackend):
                 if label in self._by_label:
                     raise ValueError("duplicate tier label {!r}".format(label))
                 self._by_label[label] = tier
+        # Only tiers that override ``Tier.drain`` buffer writes; the
+        # base drain yields nothing, so the barrier skips the rest.
+        self._draining_tiers = [
+            tier for tier in self.tiers if type(tier).drain is not Tier.drain
+        ]
         if pbs is not None:
             pbs.attach(self)
         self.page_table = None  # set via bind_page_table (enables PBS)
@@ -327,7 +332,7 @@ class TierCascade(SwapBackend):
 
     def drain(self):
         """Generator: flush every tier's buffered writes, top to bottom."""
-        for tier in self.tiers:
+        for tier in self._draining_tiers:
             yield from tier.drain()
 
     def discard(self, page):

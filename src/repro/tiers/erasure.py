@@ -746,12 +746,14 @@ class ErasureCodedRemoteTier(Tier):
                 tracer.end(span, ok=True)
                 tracer.latency("ec", "reconstruct", self.env.now - began)
             # Re-verify before committing: the cluster kept running
-            # while the fragment reads and the write were in flight.
+            # while the fragment reads and the write were in flight, and
+            # the page may have been forgotten and re-striped meanwhile.
             area = self.areas.get(destination)
             if (
                 area is None
                 or self.directory.is_down(destination)
                 or self.cascade.location(page_id)[0] != self.name
+                or self.map.fragments(page_id) != fragments
                 or not area.reserve(page_id, frag)
             ):
                 continue

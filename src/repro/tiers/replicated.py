@@ -504,8 +504,15 @@ class ReplicatedRemoteTier(Tier):
                 yield from self._one_sided(target, stored, write=True)
             except _TRANSIENT:
                 continue
+            # Re-verify before committing: the page may have been swapped
+            # in (forgotten) or re-placed while the copy was in flight.
             area = self.areas.get(target)
-            if area is None or not area.reserve(page_id, stored):
+            if (
+                area is None
+                or self.cascade.location(page_id)[0] != self.name
+                or self.map.holders(page_id) != holders
+                or not area.reserve(page_id, stored)
+            ):
                 continue
             self.map.add_holder(page_id, target)
             self.tracker.pages_re_replicated.increment()

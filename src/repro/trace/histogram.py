@@ -62,7 +62,16 @@ class LatencyHistogram:
     def record(self, value):
         if value < 0:
             raise ValueError("latencies are non-negative")
-        self.counts[self.bucket_index(value)] += 1
+        # bucket_index, inlined: this runs once per recorded latency.
+        least = self.least
+        if value <= least:
+            index = 0
+        else:
+            mantissa, exponent = math.frexp(value / least)
+            index = exponent - 1 if mantissa == 0.5 else exponent
+            if index >= self.buckets:
+                index = self.buckets - 1
+        self.counts[index] += 1
         self.total += 1
         self.sum += value
 

@@ -67,11 +67,14 @@ class KvWorkloadSpec:
 
     def iter_operations(self, rng):
         """Infinite stream of ``(first_page_id, page_count, is_write)``."""
-        zipf = self._sampler(rng)
+        sample = self._sampler(rng).sample
+        random = rng.random
+        pages_per_key = self.pages_per_key
+        read_fraction = self.read_fraction
         while True:
-            key = zipf.sample()
-            yield key * self.pages_per_key, self.pages_per_key, (
-                rng.random() >= self.read_fraction
+            key = sample()
+            yield key * pages_per_key, pages_per_key, (
+                random() >= read_fraction
             )
 
     def ops_batch(self, rng, count):

@@ -92,6 +92,28 @@ def test_grow_and_shrink():
     assert allocator.capacity_bytes == 0
 
 
+def live_slab_ids(allocator):
+    slabs = list(allocator._free_slabs)
+    for class_slabs in allocator._class_slabs.values():
+        slabs.extend(class_slabs)
+    return [slab.slab_id for slab in slabs]
+
+
+def test_slab_ids_stay_unique_across_grow_shrink_grow():
+    allocator = make_allocator(capacity=2 * 1024 * 1024)
+    allocator.grow(1)
+    chunks = [allocator.allocate(size) for size in (512, 1024, 4096)]
+    assert allocator.shrink(3) == 0  # every slab hosts a live chunk
+    allocator.free(chunks.pop())
+    assert allocator.shrink(1) == 1
+    for _ in range(3):
+        allocator.grow(1)
+    chunks.append(allocator.allocate(2048))
+    ids = live_slab_ids(allocator)
+    assert len(ids) == allocator.total_slabs == 5
+    assert len(set(ids)) == len(ids)
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         SlabAllocator(1024, [], slab_bytes=1024)

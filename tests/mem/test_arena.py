@@ -1,5 +1,7 @@
 """Unit tests for the jemalloc-style arena allocator."""
 
+import random
+
 import pytest
 
 from repro.mem.allocator import AllocationError
@@ -11,6 +13,11 @@ from repro.mem.arena import (
     UniformAllocator,
     geometric_size_classes,
     make_allocator,
+)
+from tests.mem.conftest import (
+    allocate_checked,
+    assert_open_index_exact,
+    linear_class_for,
 )
 
 CAPACITY = 1024 * 1024
@@ -251,3 +258,59 @@ def test_frag_stats_rows_share_one_surface():
         assert 0.0 <= row["external_fragmentation"] <= 1.0
         assert 0.0 <= row["internal_fragmentation"] <= 1.0
         assert row["allocatable_bytes"] <= row["free_bytes"]
+
+
+# -- open-run index -----------------------------------------------------------
+
+
+def test_class_for_matches_the_linear_rule():
+    arena = fresh()
+    for nbytes in range(1, arena.max_small + 2):
+        assert arena.class_for(nbytes) == linear_class_for(arena, nbytes)
+    assert arena.class_for(arena.max_small + 1) is None
+
+
+def test_open_index_tracks_fill_reopen_and_reclaim():
+    arena = fresh()
+    chunk_size = arena.class_for(4096)
+    _nbytes, regions, _meta = arena._run_layout(chunk_size)
+    # Filling one run exactly closes it; the next block opens a second.
+    first = [allocate_checked(arena, 4096) for _ in range(regions)]
+    assert arena._open_offsets[chunk_size] == []
+    second = allocate_checked(arena, 4096)
+    assert second.run is not first[0].run
+    assert_open_index_exact(arena)
+    # The full run gets a region back: it reopens, below the new run.
+    arena.free(first[3])
+    assert_open_index_exact(arena)
+    assert arena._open_offsets[chunk_size][0] == first[0].run.extent.offset
+    assert allocate_checked(arena, 4096).run is first[0].run
+    # An emptied run is reclaimed and leaves the index.
+    arena.free(second)
+    assert_open_index_exact(arena)
+    assert arena._open_offsets[chunk_size] == []
+
+
+def test_open_index_under_seeded_churn():
+    rng = random.Random(11)
+    arena = fresh()
+    live = []
+    for step in range(3000):
+        roll = rng.random()
+        try:
+            if roll < 0.5:
+                live.append(allocate_checked(arena, rng.randint(1, 20000)))
+            elif roll < 0.6:
+                live.extend(arena.allocate_entry(rng.randint(1, 70000)))
+            elif roll < 0.98:
+                if live:
+                    arena.free(live.pop(rng.randrange(len(live))))
+            else:
+                arena.compact()
+                assert_open_index_exact(arena)
+                # The next allocation still takes the lowest open run.
+                live.append(allocate_checked(arena, rng.choice((512, 3000))))
+        except AllocationError:
+            pass
+        assert_open_index_exact(arena)
+        assert arena.conserves(), step

@@ -4,6 +4,8 @@ Random alloc/free/compact churn must never double-free, never produce
 overlapping live blocks, and must conserve ``live + free + metadata ==
 capacity`` at every step — the invariants the fragmentation accounting
 (and therefore the ``allocation_fragmentation`` experiment) rests on.
+The open-run index must also pick, at every step, the run a linear
+scan over all runs would have picked.
 """
 
 from hypothesis import given, settings
@@ -11,6 +13,11 @@ from hypothesis import strategies as st
 
 from repro.mem.allocator import AllocationError
 from repro.mem.arena import RUN_HEADER_BYTES, Arena
+from tests.mem.conftest import (
+    allocate_checked,
+    assert_open_index_exact,
+    linear_class_for,
+)
 
 CAPACITY = 512 * 1024
 
@@ -154,3 +161,43 @@ def test_allocatable_bytes_is_honest(ops):
         entries.append(arena.allocate_entry(grain))
     for entry in entries:
         arena.free_entry(entry)
+
+
+@given(operations())
+@settings(max_examples=60, deadline=None)
+def test_open_run_index_matches_a_linear_scan(ops):
+    """After every churn step the index holds exactly the runs with a
+    free region, in offset order, and every small allocation lands in
+    the run a linear scan over ``_runs`` picks — compaction included."""
+    arena = fresh()
+    live = []
+    for op, value in ops:
+        try:
+            if op == "alloc":
+                live.append(allocate_checked(arena, value))
+            elif op == "entry":
+                live.extend(arena.allocate_entry(value))
+            elif op == "free":
+                if live:
+                    arena.free(live.pop(value % len(live)))
+            else:
+                arena.compact()
+                assert_open_index_exact(arena)
+                # The next allocation still takes the lowest open run.
+                live.append(allocate_checked(arena, 512))
+        except AllocationError:
+            pass
+        assert_open_index_exact(arena)
+
+
+@given(
+    st.sampled_from((64, 256, 512)),
+    st.integers(1, 8),
+    st.integers(1, 4),
+)
+@settings(max_examples=30, deadline=None)
+def test_class_for_matches_the_linear_rule(quantum, doublings, group):
+    arena = Arena(CAPACITY, quantum=quantum,
+                  max_small=quantum << doublings, group_classes=group)
+    for nbytes in range(1, arena.max_small + 2):
+        assert arena.class_for(nbytes) == linear_class_for(arena, nbytes)
