@@ -49,6 +49,7 @@ class Fabric:
         self._down_links = set()  # directed (src, dst) pairs
         self._degraded = {}  # node_id -> latency/bandwidth multiplier
         self._lane_order = {}  # (src, dst) -> (first lane, second lane)
+        self._fanout_order = {}  # (src, tuple(dsts)) -> lanes in order
         self._core = (
             Resource(env, capacity=core_concurrency, name="fabric-core")
             if core_concurrency > 0 else None
@@ -169,11 +170,17 @@ class Fabric:
         time; raises a :class:`~repro.net.errors.NetworkError` subclass
         if the path is (or goes) down.  ``op`` labels the traffic class
         ("data" or "control") for tracing only.
+
+        Untraced, this hands back the :meth:`_transfer` generator
+        itself, so a transfer costs one generator frame per resumption
+        rather than two.
         """
+        if not self.env.tracer.enabled:
+            return self._transfer(src, dst, nbytes, base_latency)
+        return self._traced_transfer(src, dst, nbytes, base_latency, op)
+
+    def _traced_transfer(self, src, dst, nbytes, base_latency, op):
         tracer = self.env.tracer
-        if not tracer.enabled:
-            yield from self._transfer(src, dst, nbytes, base_latency)
-            return
         began = self.env.now
         span = tracer.begin("net.send", src=src, dst=dst, nbytes=nbytes, op=op)
         try:
@@ -224,27 +231,18 @@ class Fabric:
         for dst in dsts:
             self._check_path(src, dst)
         src_nic = self._nics[src]
-        # Acquire the TX lane plus every destination RX lane in one
-        # canonical global order (same rule as ``_transfer``): no cycle
-        # of holders can form whatever else is in flight.
-        lanes = sorted(
-            [("{}:tx".format(src), src_nic.tx)]
-            + [
-                ("{}:rx".format(dst), self._nics[dst].rx)
-                for dst in dsts
-            ],
-            key=lambda pair: pair[0],
-        )
-        granted = []
+        held = []
         try:
-            for _key, lane in lanes:
+            for lane in self._fanout_lanes(src, dsts):
                 request = lane.request()
+                # Held from the request on, so an interrupted wait
+                # withdraws it (see ``Resource.release``).
+                held.append((lane, request))
                 yield request
-                granted.append((lane, request))
             if self._core is not None:
                 core_request = self._core.request()
+                held.append((self._core, core_request))
                 yield core_request
-                granted.append((self._core, core_request))
             yield self.env.timeout(max(
                 self.transfer_time(nbytes_each, base_latency)
                 * self.degrade_factor(src, dst)
@@ -260,8 +258,28 @@ class Fabric:
             self.total_bytes += nbytes_each * len(dsts)
             self.total_messages += 1
         finally:
-            for lane, request in granted:
+            for lane, request in held:
                 lane.release(request)
+
+    def _fanout_lanes(self, src, dsts):
+        """The TX lane of ``src`` and the RX lane of every ``dsts``, in
+        acquisition order.
+
+        Same canonical rule as :meth:`_lanes`: sorted by the string keys
+        ``"<src>:tx"`` and ``"<dst>:rx"``, so no cycle of holders can
+        form whatever else is in flight.  Worked out once per
+        ``(src, dsts)``.
+        """
+        key = (src, tuple(dsts))
+        lanes = self._fanout_order.get(key)
+        if lanes is None:
+            keyed = [("{}:tx".format(src), self._nics[src].tx)] + [
+                ("{}:rx".format(dst), self._nics[dst].rx) for dst in dsts
+            ]
+            keyed.sort(key=lambda pair: pair[0])
+            lanes = tuple(lane for _key, lane in keyed)
+            self._fanout_order[key] = lanes
+        return lanes
 
     def _lanes(self, src, dst):
         """The TX lane of ``src`` and RX lane of ``dst``, in acquisition order.
@@ -286,18 +304,20 @@ class Fabric:
         self._check_path(src, dst)
         src_nic = self._nics[src]
         dst_nic = self._nics[dst]
-        granted = []
+        held = []
         try:
             for lane in self._lanes(src, dst):
                 request = lane.request()
+                # Held from the request on, so an interrupted wait
+                # withdraws it (see ``Resource.release``).
+                held.append((lane, request))
                 yield request
-                granted.append((lane, request))
             if self._core is not None:
                 # The core is acquired only after both lanes, and its
                 # holders never wait on lanes, so no cycle can form.
                 core_request = self._core.request()
+                held.append((self._core, core_request))
                 yield core_request
-                granted.append((self._core, core_request))
             yield self.env.timeout(
                 self.transfer_time(nbytes, base_latency)
                 * self.degrade_factor(src, dst)
@@ -310,5 +330,5 @@ class Fabric:
             self.total_bytes += nbytes
             self.total_messages += 1
         finally:
-            for lane, request in granted:
+            for lane, request in held:
                 lane.release(request)

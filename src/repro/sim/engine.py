@@ -2,6 +2,7 @@
 
 import heapq
 from itertools import count
+from math import inf
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import (  # noqa: F401  (priorities re-exported)
@@ -47,6 +48,15 @@ class Environment:
         #: hot paths with ``if env.tracer.enabled:`` so disabled runs
         #: pay one attribute read and one branch.
         self.tracer = tracer_for_env(self)
+        #: Where the current :meth:`run` stops: no event later than
+        #: this fires in it.  ``-inf`` outside ``run()`` and once a
+        #: ``run(until=event)`` has seen its event fire.
+        self._limit = -inf
+        #: The latest timestamp a process may resume in place at (see
+        #: :meth:`Process._resume <repro.sim.process.Process._resume>`):
+        #: ``_limit``, or ``-inf`` while :meth:`step` still has other
+        #: callbacks of the current event to run.
+        self._horizon = -inf
 
     # -- event construction ------------------------------------------------
 
@@ -95,14 +105,29 @@ class Environment:
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self):
-        """Fire the single next event; advances ``now`` to its timestamp."""
+        """Fire the single next event; advances ``now`` to its timestamp.
+
+        A process resumed here may go on to fire further events in
+        place (see :meth:`Process._resume
+        <repro.sim.process.Process._resume>`), but only inside
+        :meth:`run` and only as the event's last callback: every
+        earlier callback runs with the horizon at ``-inf``.
+        """
         if not self._heap:
             raise EmptySchedule("no scheduled events")
         when, _priority, _seq, event = heapq.heappop(self._heap)
         self.now = when
         callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
+        if len(callbacks) == 1:
+            callbacks[0](event)
+            return
+        if not callbacks:
+            return
+        self._horizon = -inf
+        for callback in callbacks[:-1]:
             callback(event)
+        self._horizon = self._limit
+        callbacks[-1](event)
 
     def run(self, until=None):
         """Run the simulation.
@@ -115,8 +140,12 @@ class Environment:
             that event fires, returning (or raising) its outcome.
         """
         if until is None:
-            while self._heap:
-                self.step()
+            self._limit = self._horizon = inf
+            try:
+                while self._heap:
+                    self.step()
+            finally:
+                self._limit = self._horizon = -inf
             return None
         if isinstance(until, Event):
             return self._run_until_event(until)
@@ -125,24 +154,32 @@ class Environment:
             raise ValueError(
                 "until ({}) is in the past (now={})".format(deadline, self.now)
             )
-        while self._heap and self.peek() <= deadline:
-            self.step()
+        self._limit = self._horizon = deadline
+        try:
+            while self._heap and self.peek() <= deadline:
+                self.step()
+        finally:
+            self._limit = self._horizon = -inf
         self.now = deadline
         return None
 
+    def _stop(self, _event):
+        """``run(until=event)``'s callback: the run ends with this step."""
+        self._limit = self._horizon = -inf
+
     def _run_until_event(self, event):
-        finished = []
-        if event.callbacks is None:
-            # Already fired; report its outcome directly.
-            finished.append(event)
-        else:
-            event.callbacks.append(finished.append)
-        while not finished:
-            if not self._heap:
-                raise EmptySchedule(
-                    "event {!r} can never fire: schedule is empty".format(event)
-                )
-            self.step()
+        if event.callbacks is not None:
+            event.callbacks.append(self._stop)
+            self._limit = self._horizon = inf
+        try:
+            while event.callbacks is not None:
+                if not self._heap:
+                    raise EmptySchedule(
+                        "event {!r} can never fire: schedule is empty".format(event)
+                    )
+                self.step()
+        finally:
+            self._limit = self._horizon = -inf
         if event._ok:
             return event._value
         # Mark as handled for Process events so defused errors do not

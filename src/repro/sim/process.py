@@ -8,6 +8,8 @@ triggers when the generator returns, so processes can wait on each
 other simply by yielding them.
 """
 
+from heapq import heappop
+
 from repro.sim.errors import Interrupt, StopProcess
 from repro.sim.events import PRIORITY_URGENT, Event
 
@@ -27,6 +29,24 @@ class Initialize(Event):
 
     def _label(self):
         return "init:{}".format(self.process.name)
+
+
+class Interruption(Event):
+    """The failed event that throws an :class:`~repro.sim.errors.Interrupt`
+    into ``process`` at ``now``."""
+
+    __slots__ = ("process",)
+
+    def __init__(self, process, cause):
+        super().__init__(process.env)
+        self.process = process
+        self._ok = False
+        self._value = Interrupt(cause)
+        self.callbacks.append(process._resume)
+        process.env._push(self, priority=PRIORITY_URGENT)
+
+    def _label(self):
+        return "interrupt:{}".format(self.process.name)
 
 
 class Process(Event):
@@ -66,60 +86,79 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        poke = Event(self.env, name="interrupt:{}".format(self.name))
-        poke._ok = False
-        poke._value = Interrupt(cause)
-        poke.callbacks.append(self._resume)
-        self.env._push(poke, priority=PRIORITY_URGENT)
+        Interruption(self, cause)
 
     # -- internal ----------------------------------------------------------
 
     def _resume(self, event):
-        self.env.active_process = self
-        try:
-            if event._ok:
-                target = self._generator.send(event._value)
-            else:
-                target = self._generator.throw(event._value)
-        except StopIteration as exc:
-            self.succeed(exc.value)
-            return
-        except StopProcess as exc:
-            self.succeed(exc.value)
-            return
-        except Interrupt as exc:
-            # The generator let an interrupt escape: treat as failure.
-            self.fail(exc)
-            if not self.callbacks:
-                raise
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            if not self.callbacks:
-                # Nobody is waiting on this process; crash loudly rather
-                # than losing the error.
-                raise
-            return
-        finally:
-            self.env.active_process = None
+        """Send ``event``'s outcome into the generator, then wait on
+        what it yields.
 
-        if not isinstance(target, Event):
-            error = RuntimeError(
-                "process {!r} yielded a non-event: {!r}".format(self.name, target)
-            )
-            self.fail(error)
-            raise error
-        if target.callbacks is not None:
-            # Pending, or triggered but not yet fired: hook its callback
-            # chain directly.
-            target.callbacks.append(self._resume)
-            self._target = target
-        else:
-            # The event already fired; resume at the current timestamp
-            # with the same outcome via a proxy event.
-            proxy = Event(self.env, name="replay")
-            proxy._ok = target._ok
-            proxy._value = target._value
-            proxy.callbacks.append(self._resume)
-            self.env._push(proxy, priority=PRIORITY_URGENT)
-            self._target = proxy
+        Resume in place: when the yielded event is the heap head, has
+        no other waiter and is not later than the run's horizon
+        (``env._horizon``), it is exactly the event :meth:`Environment.
+        step <repro.sim.engine.Environment.step>` would fire next, with
+        this resume as its only callback, at the same clock value.  So
+        this loop pops it, marks it fired and resumes the generator
+        with it directly, instead of hooking a callback and returning
+        to ``step()``.  No sequence number is consumed, so event order
+        and every timestamp are unchanged.
+        """
+        env = self.env
+        heap = env._heap
+        generator = self._generator
+        env.active_process = self
+        try:
+            while True:
+                try:
+                    if event._ok:
+                        target = generator.send(event._value)
+                    else:
+                        target = generator.throw(event._value)
+                except (StopIteration, StopProcess) as exc:
+                    self.succeed(exc.value)
+                    return
+                except BaseException as exc:
+                    # An escaped interrupt or error fails the process.
+                    self.fail(exc)
+                    if not self.callbacks:
+                        # Nobody is waiting on this process; crash
+                        # loudly rather than losing the error.
+                        raise
+                    return
+                if not isinstance(target, Event):
+                    error = RuntimeError(
+                        "process {!r} yielded a non-event: {!r}".format(
+                            self.name, target
+                        )
+                    )
+                    self.fail(error)
+                    raise error
+                callbacks = target.callbacks
+                if callbacks is None:
+                    # The event already fired; resume at the current
+                    # timestamp with the same outcome via a proxy event.
+                    proxy = Event(env, name="replay")
+                    proxy._ok = target._ok
+                    proxy._value = target._value
+                    proxy.callbacks.append(self._resume)
+                    env._push(proxy, priority=PRIORITY_URGENT)
+                    self._target = proxy
+                    return
+                if (
+                    not callbacks
+                    and heap
+                    and heap[0][3] is target
+                    and heap[0][0] <= env._horizon
+                ):
+                    env.now = heappop(heap)[0]
+                    target.callbacks = None
+                    event = target
+                    continue
+                # Pending, or triggered but not next: hook its callback
+                # chain directly.
+                callbacks.append(self._resume)
+                self._target = target
+                return
+        finally:
+            env.active_process = None

@@ -24,14 +24,21 @@ import heapq
 from collections import deque
 from itertools import count
 
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, Event
 
 
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource):
-        super().__init__(resource.env)
+        # What ``Event.__init__(resource.env)`` sets, without the call.
+        self.env = resource.env
+        self.name = None
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
         self.resource = resource
 
     def _label(self):
@@ -74,15 +81,28 @@ class Resource:
     def request(self):
         """Return a :class:`Request` event; it succeeds when a slot frees."""
         request = Request(self)
-        self._queue.append(request)
-        self._grant()
+        if not self._queue and len(self.users) < self.capacity:
+            # What queueing it and calling ``_grant`` would do.
+            self.users.add(request)
+            request.succeed()
+        else:
+            self._queue.append(request)
+            self._grant()
         return request
 
     def release(self, request):
-        """Return a granted slot.  Releasing twice is a silent no-op."""
+        """Return a granted slot, or withdraw a still-queued request.
+
+        Withdrawing matters when a waiter is interrupted (e.g. by a
+        timeout watchdog) before its request is granted: otherwise the
+        slot would later be granted to nobody and never come back.
+        Releasing twice is a silent no-op.
+        """
         if request in self.users:
             self.users.remove(request)
             self._grant()
+        else:
+            self._cancel(request)
 
     def _cancel(self, request):
         if request in self._queue and not request.triggered:
@@ -97,6 +117,8 @@ class Resource:
 
 class PriorityRequest(Request):
     """A claim carrying a priority (lower value is served first)."""
+
+    __slots__ = ("priority",)
 
     def __init__(self, resource, priority):
         super().__init__(resource)
@@ -117,8 +139,13 @@ class PriorityResource(Resource):
 
     def request(self, priority=0):
         request = PriorityRequest(self, priority)
-        heapq.heappush(self._heap, (priority, next(self._seq), request))
-        self._grant()
+        if not self._heap and len(self.users) < self.capacity:
+            # What queueing it and calling ``_grant`` would do.
+            self.users.add(request)
+            request.succeed()
+        else:
+            heapq.heappush(self._heap, (priority, next(self._seq), request))
+            self._grant()
         return request
 
     def _cancel(self, request):
@@ -130,6 +157,31 @@ class PriorityResource(Resource):
             _priority, _seq, request = heapq.heappop(self._heap)
             self.users.add(request)
             request.succeed()
+
+
+class StoreEvent(Event):
+    """A put or get on a :class:`Store` or :class:`Container`, labelled
+    ``"<op>:<owner name>"``."""
+
+    __slots__ = ("owner",)
+    op = None
+
+    def __init__(self, owner):
+        super().__init__(owner.env)
+        self.owner = owner
+
+    def _label(self):
+        return "{}:{}".format(self.op, self.owner.name)
+
+
+class Put(StoreEvent):
+    __slots__ = ()
+    op = "put"
+
+
+class Get(StoreEvent):
+    __slots__ = ()
+    op = "get"
 
 
 class Container:
@@ -149,7 +201,7 @@ class Container:
         """Event that succeeds once ``amount`` fits under ``capacity``."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
-        event = Event(self.env, name="put:{}".format(self.name))
+        event = Put(self)
         self._putters.append((amount, event))
         self._settle()
         return event
@@ -158,7 +210,7 @@ class Container:
         """Event that succeeds once ``amount`` is available."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
-        event = Event(self.env, name="get:{}".format(self.name))
+        event = Get(self)
         self._getters.append((amount, event))
         self._settle()
         return event
@@ -199,14 +251,14 @@ class Store:
 
     def put(self, item):
         """Event that succeeds once there is room for ``item``."""
-        event = Event(self.env, name="put:{}".format(self.name))
+        event = Put(self)
         self._putters.append((item, event))
         self._settle()
         return event
 
     def get(self):
         """Event that succeeds with the oldest item once one exists."""
-        event = Event(self.env, name="get:{}".format(self.name))
+        event = Get(self)
         self._getters.append(event)
         self._settle()
         return event

@@ -4,7 +4,8 @@ A transfer takes the sender's TX lane and the receiver's RX lane in one
 canonical global order, the sort of ``"<src>:tx"`` and ``"<dst>:rx"``
 as strings, so that no two transfers can hold-and-wait in a cycle.  The
 order is a string order, not a numeric one: ``node10`` sorts before
-``node9``.
+``node9``.  A fan-out round takes its TX lane and every destination's
+RX lane by the same rule.
 """
 
 import pytest
@@ -99,3 +100,42 @@ def test_crossing_transfers_at_one_instant_both_complete(core_concurrency):
     for node in NODES:
         assert fabric.nic(node).tx.count == 0
         assert fabric.nic(node).rx.count == 0
+
+
+def sorted_fanout_rule(src, dsts):
+    """The lanes a fan-out round must request, in the order it must."""
+    lanes = sorted(
+        [("{}:tx".format(src), "nic-tx:{}".format(src))]
+        + [("{}:rx".format(dst), "nic-rx:{}".format(dst)) for dst in dsts],
+        key=lambda pair: pair[0],
+    )
+    return [name for _key, name in lanes]
+
+
+def fan(env, fabric, src, dsts, nbytes=4 * KiB):
+    def sender():
+        yield from fabric.fanout(src, dsts, nbytes)
+        return env.now
+
+    return env.run(until=env.process(sender()))
+
+
+@pytest.mark.parametrize("core_concurrency", [0, 2])
+def test_fanout_lane_order_matches_the_sorted_key_rule(core_concurrency):
+    env, fabric, requested = build(core_concurrency)
+    core = ["fabric-core"] if core_concurrency else []
+    assert sorted_fanout_rule("node9", ["node10", "node1"]) == [
+        "nic-rx:node10", "nic-rx:node1", "nic-tx:node9",  # "0" < ":"
+    ]
+    rounds = []
+    for src in NODES:
+        others = [node for node in NODES if node != src]
+        rounds += [(src, others[:2]), (src, others[1::-1]), (src, others[-3:])]
+    for _repeat in range(2):  # first use and the memoized reuse
+        for src, dsts in rounds:
+            del requested[:]
+            fan(env, fabric, src, dsts)
+            assert requested == sorted_fanout_rule(src, dsts) + core, (src, dsts)
+    assert len(fabric._fanout_order) == len(rounds)
+    for node in NODES:
+        assert fabric.nic(node).tx.count == fabric.nic(node).rx.count == 0

@@ -6,7 +6,15 @@ direct heap pushes), so a cheaper event representation must keep them.
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Resource, Timeout
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    Environment,
+    Event,
+    Interrupt,
+    Resource,
+    Timeout,
+)
 from repro.sim.engine import PRIORITY_NORMAL, PRIORITY_URGENT, EmptySchedule
 from repro.sim.errors import EventAlreadyTriggered
 from repro.sim.process import Process
@@ -65,6 +73,39 @@ def test_process_init_event_repr():
     assert repr(process) == "<worker pending>"
     env.run()
     assert repr(process) == "<worker ok>"
+
+
+def test_store_and_container_event_reprs_name_their_owner():
+    env = Environment()
+    store = Store(env, capacity=1, name="inbox:node0")
+    assert repr(store.put("a")) == "<put:inbox:node0 ok>"
+    assert repr(store.put("b")) == "<put:inbox:node0 pending>"
+    assert repr(store.get()) == "<get:inbox:node0 ok>"
+    tank = Container(env, capacity=4, init=0, name="tank")
+    assert repr(tank.get(3)) == "<get:tank pending>"
+    assert repr(tank.put(4)) == "<put:tank ok>"
+    assert repr(Store(env).get()) == "<get:store pending>"
+    assert repr(Container(env).put(1)) == "<put:container ok>"
+
+
+def test_interrupt_event_repr_names_the_process():
+    env = Environment()
+
+    def worker():
+        try:
+            yield env.timeout(5.0)
+        except Interrupt:
+            pass
+
+    process = env.process(worker(), name="worker")
+    env.run(until=1.0)
+    process.interrupt("stop")
+    [(when, priority, _seq, poke)] = [
+        entry for entry in env._heap if entry[0] == 1.0
+    ]
+    assert (when, priority) == (1.0, PRIORITY_URGENT)
+    assert repr(poke) == "<interrupt:worker failed>"
+    assert isinstance(poke.value, Interrupt) and poke.value.cause == "stop"
 
 
 def test_plain_event_repr_states():
@@ -173,7 +214,13 @@ def test_waited_process_yielding_a_non_event_fails_its_waiter():
 
 def test_events_accept_no_ad_hoc_attributes():
     env = Environment()
-    for event in (env.event(), env.timeout(1.0)):
+    store = Store(env)
+    lane = Resource(env)
+    events = [
+        env.event(), env.timeout(1.0), lane.request(),
+        PriorityResource(env).request(priority=1), store.put(1), store.get(),
+    ]
+    for event in events:
         with pytest.raises(AttributeError):
             event.tag = "x"
 
