@@ -394,9 +394,12 @@ def run_paging_workload(backend_name, spec, fit_fraction, *, seed=0,
             batch = materialize(spec, rng.stream("trace"))
             yield from mmu.run_batch(batch)
         else:
+            touch = mmu.touch
             for page_id, is_write in spec.iter_accesses(rng.stream("trace")):
-                yield from mmu.access(page_id, write=is_write)
-        yield from mmu.flush()
+                if not touch(page_id, is_write):
+                    yield from mmu.access(page_id, is_write)
+        if not mmu.settle():
+            yield from mmu.flush()
         mmu.stats.end_time = cluster.env.now
 
     cluster.run_process(job(), name="paging:{}".format(backend_name))
@@ -495,6 +498,8 @@ def run_kv_workload(backend_name, spec, fit_fraction, *, duration=5.0,
         window_end = start + window
         window_ops = 0
         operations = spec.iter_operations(rng.stream("ops"))
+        touch = mmu.touch
+        settle = mmu.settle
         while cluster.env.now - start < duration:
             first_page, count, is_write = next(operations)
             op_began = cluster.env.now
@@ -519,9 +524,11 @@ def run_kv_workload(backend_name, spec, fit_fraction, *, duration=5.0,
                 for offset in range(index, count):
                     yield from mmu.access(first_page + offset, write=is_write)
             else:
-                for offset in range(count):
-                    yield from mmu.access(first_page + offset, write=is_write)
-            yield from mmu.flush()
+                for page_id in range(first_page, first_page + count):
+                    if not touch(page_id, is_write):
+                        yield from mmu.access(page_id, is_write)
+            if not settle():
+                yield from mmu.flush()
             if op_histogram is not None:
                 op_histogram.record(cluster.env.now - op_began)
             window_ops += 1

@@ -318,10 +318,12 @@ class Fabric:
                 core_request = self._core.request()
                 held.append((self._core, core_request))
                 yield core_request
-            yield self.env.timeout(
+            wire = (
                 self.transfer_time(nbytes, base_latency)
                 * self.degrade_factor(src, dst)
             )
+            if not self.env.advance(wire):
+                yield self.env.timeout(wire)
             # A node or link that died mid-flight loses the transfer.
             self._check_path(src, dst)
             src_nic.bytes_sent += nbytes

@@ -101,8 +101,10 @@ class QueuePair:
         """Generator: one-sided RDMA WRITE of ``nbytes`` into ``region``."""
         self._require_ready()
         self._check_region(region, nbytes)
-        spec = self.local.fabric.spec
-        yield self.local.env.timeout(spec.per_message_overhead)
+        env = self.local.env
+        overhead = self.local.fabric.spec.per_message_overhead
+        if not env.advance(overhead):
+            yield env.timeout(overhead)
         try:
             yield from self.local.fabric.transfer(
                 self.local.node_id, self.remote.node_id, nbytes
@@ -116,8 +118,10 @@ class QueuePair:
         """Generator: one-sided RDMA READ of ``nbytes`` from ``region``."""
         self._require_ready()
         self._check_region(region, nbytes)
-        spec = self.local.fabric.spec
-        yield self.local.env.timeout(spec.per_message_overhead)
+        env = self.local.env
+        overhead = self.local.fabric.spec.per_message_overhead
+        if not env.advance(overhead):
+            yield env.timeout(overhead)
         try:
             # Data flows remote -> local; request propagation is folded
             # into the base verb latency.

@@ -33,21 +33,20 @@ and each class's operations are flattened into one
 :class:`~repro.workloads.batch.AccessBatch` plus per-request bounds
 (:func:`~repro.workloads.batch.flatten_requests`).  Arrivals and
 operations draw from *separate* named RNG streams, so the fast and
-event paths consume identical randomness.  Under ``fast_path``:
+event paths consume identical randomness.  Under ``fast_path``, each
+request's page burst runs through
+:meth:`~repro.swap.base.VirtualMemory.run_batch` over its
+``(start, stop)`` slice of the class batch (the flat-path kernel,
+byte-identical by its equivalence contract, with zero per-request
+array allocation).
 
-* each request's page burst runs through
-  :meth:`~repro.swap.base.VirtualMemory.run_batch` over its
-  ``(start, stop)`` slice of the class batch (the flat-path kernel,
-  byte-identical by its equivalence contract, with zero per-request
-  array allocation);
-* idle waits until the next arrival and the per-request pending-time
-  flush are applied as direct clock jumps via
-  :func:`~repro.sim.flatpath.inline_jump`, but only when the resulting
-  timeout would pop *strictly before* everything already on the event
-  heap and no bulk hold is active — a strict winner fires with nothing
-  able to observe the wait, so adding to the clock is the identical
-  float computation (``env._seq`` is deliberately not consumed, which
-  shifts all later tie-break sequence numbers uniformly).
+On both paths, idle waits until the next arrival and the per-request
+pending-time flush move the clock through
+:meth:`~repro.sim.engine.Environment.advance` instead of a timeout
+whenever that timeout would pop *strictly before* everything already
+on the event heap, within the run's horizon — a strict winner fires
+with nothing able to observe the wait, so adding to the clock is the
+identical float computation.
 
 Admission decisions see only arrival timestamps, queue depths and the
 clock at drain moments — identical on both paths — so shedding
@@ -78,7 +77,6 @@ from repro.mem.page import make_pages
 from repro.serve.accountant import SloAccountant
 from repro.serve.admission import NoShed
 from repro.serve.arrivals import aggregate
-from repro.sim.flatpath import inline_jump
 from repro.swap.base import VirtualMemory
 from repro.workloads.batch import flatten_requests
 
@@ -273,7 +271,7 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
                 if pos >= total:
                     break  # every arrival drained and served
                 delay = (epoch + times[pos]) - env.now
-                if not (fast_path and inline_jump(env, delay)):
+                if not env.advance(delay):
                     yield env.timeout(delay)
                 continue
             ordinal, arrival = queues[ready].popleft()
@@ -291,17 +289,13 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
                 addresses = batches[ready].addresses
                 writes = batches[ready].writes
                 for offset in range(start, stop):
-                    yield from mmu.access(addresses[offset],
-                                          write=writes[offset])
+                    if not mmu.touch(addresses[offset], writes[offset]):
+                        yield from mmu.access(addresses[offset],
+                                              writes[offset])
             # Charge the accumulated cheap-path time now: completion
             # latency must include it (the event path's lazy
             # accumulation is an accounting trick, not a time machine).
-            pending = mmu._pending_time
-            if pending > 0.0:
-                if fast_path and inline_jump(env, pending):
-                    mmu._pending_time = 0.0
-                else:
-                    yield from mmu._flush_pending()
+            yield from mmu._flush_pending()
             if span is not None:
                 tracer.end(span, accesses=stop - start)
             accounts[ready].record_completion(env.now - arrival)

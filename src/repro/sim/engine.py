@@ -104,6 +104,36 @@ class Environment:
         """Timestamp of the next event, or ``float('inf')`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
 
+    def advance(self, delay):
+        """Move the clock ``delay`` ahead without an event, if nothing
+        could observe the wait; False leaves the clock alone.
+
+        For a process about to ``yield self.timeout(delay)``: when the
+        landing time is within the run's horizon and *strictly*
+        earlier than the heap head, that timeout would be the next
+        event to fire, with this process as its only waiter (a strict
+        compare wins every priority and sequence tie-break), so moving
+        ``now`` is the identical float computation.  The sequence
+        number the timeout would have drawn is not consumed, which
+        shifts every later one equally and keeps relative order.  The
+        horizon (``-inf`` outside :meth:`run` and for non-last
+        callbacks in :meth:`step`) keeps ``run(until=...)`` exact.
+
+        Callers fall back to the timeout on False; never use this for
+        a timeout that is created but not yielded at once (a watchdog
+        racing another event, say).
+        """
+        if delay < 0:
+            return False  # the caller's timeout raises
+        when = self.now + delay
+        if when > self._horizon:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        self.now = when
+        return True
+
     def step(self):
         """Fire the single next event; advances ``now`` to its timestamp.
 

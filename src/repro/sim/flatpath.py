@@ -36,7 +36,7 @@ the same amount, which preserves the relative order of all heap
 entries and therefore the event-engine behaviour.
 """
 
-__all__ = ["FlatPathStats", "advance", "inline_jump"]
+__all__ = ["FlatPathStats", "advance"]
 
 #: Boundary reasons, as recorded in :class:`FlatPathStats.boundaries`.
 BOUNDARY_REASONS = (
@@ -70,29 +70,6 @@ class FlatPathStats:
             "bulk_accesses": self.bulk_accesses,
             "boundaries": dict(sorted(self.boundaries.items())),
         }
-
-
-def inline_jump(env, delay):
-    """Advance the clock by ``delay`` without an event, when nothing
-    could observe the wait; returns False to request event fallback.
-
-    The same strict-compare argument :func:`advance` uses for inlined
-    demand-zero flushes, exposed for fast-path callers (the serving
-    driver's idle waits and pending-time flushes): the jump is legal
-    only when no bulk hold is open and the landing time pops strictly
-    before everything already on the event heap — a strict winner
-    fires with nothing able to interleave, so adding to the clock is
-    the identical float computation.  ``env._seq`` is deliberately not
-    consumed (see the module docstring).
-    """
-    if env.bulk_holds:
-        return False
-    new_now = env.now + delay
-    heap = env._heap
-    if heap and heap[0][0] <= new_now:
-        return False
-    env.now = new_now
-    return True
 
 
 def _window_state(windows, now):

@@ -12,6 +12,11 @@ Design notes
   per-access compute are accumulated and charged in bulk right before
   any I/O, which keeps the event count (and wall-clock runtime) low
   without changing simulated time.
+* The per-access fast cases stay off the generator machinery: a
+  resident hit is served by the plain :meth:`VirtualMemory.touch`, and
+  the end-of-operation charge by :meth:`VirtualMemory.settle`, which
+  advances the clock in place when nothing could observe the wait and
+  the backend holds no buffered writes.
 * A page evicted clean whose swap copy is still valid costs nothing on
   the way out (Linux swap-cache semantics); dirty pages always pay the
   backend's write path.
@@ -93,6 +98,11 @@ class SwapBackend:
         return
         yield  # pragma: no cover
 
+    def buffered(self):
+        """True while :meth:`drain` has writes to flush; a backend that
+        overrides ``drain`` overrides this too."""
+        return False
+
     def discard(self, page):
         """Invalidate the backend copy of ``page`` (freed by the guest)."""
 
@@ -161,24 +171,44 @@ class VirtualMemory:
 
     # -- main entry point ------------------------------------------------------
 
+    def touch(self, page_id, write=False):
+        """Serve one access if the page is resident.
+
+        A plain call, no generator: True when the access was a resident
+        hit, counted and charged; False, with nothing counted, when the
+        page is not resident and the access must run through ``yield
+        from`` :meth:`access` instead.
+        """
+        resident = self.resident
+        if page_id not in resident:
+            return False
+        self.stats.accesses += 1
+        self._pending_time += self.compute_per_access
+        resident.move_to_end(page_id)
+        self._pending_time += self.HIT_TIME
+        self.stats.resident_hits += 1
+        if write:
+            page = self.pages[page_id]
+            page.dirty = True
+            # Writing invalidates any swap-cache copy.
+            if page_id in self.swapped_valid:
+                self.swapped_valid.discard(page_id)
+                self.backend.discard(page)
+        return True
+
     def access(self, page_id, write=False):
-        """Generator: one memory access; charges whatever it costs."""
+        """Generator: one memory access; charges whatever it costs.
+
+        A resident hit is served by :meth:`touch` without suspending,
+        so hot loops call ``touch`` first and enter this generator only
+        for a miss: a swap-cache promote, a demand-zero fault or a
+        major fault.
+        """
+        if self.touch(page_id, write):
+            return
         self.stats.accesses += 1
         self._pending_time += self.compute_per_access
         page = self.pages[page_id]
-
-        if page_id in self.resident:
-            self.resident.move_to_end(page_id)
-            self._pending_time += self.HIT_TIME
-            self.stats.resident_hits += 1
-            if write:
-                page.dirty = True
-                # Writing invalidates any swap-cache copy.
-                if page_id in self.swapped_valid:
-                    self.swapped_valid.discard(page_id)
-                    self.backend.discard(page)
-            return
-
         if page_id in self.prefetch:
             # Swap-cache hit: promote without backend I/O.
             del self.prefetch[page_id]
@@ -277,19 +307,35 @@ class VirtualMemory:
             yield from self.access(addresses[index], write=writes[index])
             index += 1
 
+    def settle(self):
+        """Charge accumulated cheap-path time without an event, if it can.
+
+        A plain call: True when the pending time was charged in place
+        (:meth:`Environment.advance <repro.sim.engine.Environment.
+        advance>`) and the backend has nothing buffered, so there is
+        nothing left to flush; otherwise the caller finishes with
+        ``yield from`` :meth:`flush`.
+        """
+        pending = self._pending_time
+        if pending > 0.0:
+            if not self.env.advance(pending):
+                return False
+            self._pending_time = 0.0
+        return not self.backend.buffered()
+
     def flush(self):
         """Generator: charge accumulated cheap-path time (end of run)."""
-        if self._pending_time > 0.0:
-            pending, self._pending_time = self._pending_time, 0.0
-            yield self.env.timeout(pending)
+        yield from self._flush_pending()
         yield from self.backend.drain()
 
     # -- internals ----------------------------------------------------------
 
     def _flush_pending(self):
-        if self._pending_time > 0.0:
-            pending, self._pending_time = self._pending_time, 0.0
-            yield self.env.timeout(pending)
+        pending = self._pending_time
+        if pending > 0.0:
+            self._pending_time = 0.0
+            if not self.env.advance(pending):
+                yield self.env.timeout(pending)
 
     def _insert_resident(self, page, write):
         if write:

@@ -120,6 +120,11 @@ class Tier:
         return
         yield  # pragma: no cover
 
+    def buffered(self):
+        """True while :meth:`drain` has writes to flush; a tier that
+        overrides ``drain`` overrides this too."""
+        return False
+
     # -- data path -----------------------------------------------------------
 
     def put(self, page, nbytes):

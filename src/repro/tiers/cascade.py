@@ -335,6 +335,13 @@ class TierCascade(SwapBackend):
         for tier in self._draining_tiers:
             yield from tier.drain()
 
+    def buffered(self):
+        """True while any tier holds writes :meth:`drain` would flush."""
+        for tier in self._draining_tiers:
+            if tier.buffered():
+                return True
+        return False
+
     def discard(self, page):
         self.forget(page.page_id)
 

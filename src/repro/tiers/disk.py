@@ -96,6 +96,9 @@ class DiskSwapTier(Tier):
         if self._pending_write_slots:
             yield from self._submit_writeback()
 
+    def buffered(self):
+        return bool(self._pending_write_slots)
+
     def _submit_writeback(self):
         slots, self._pending_write_slots = self._pending_write_slots, []
         window_slot = self._writeback.request()

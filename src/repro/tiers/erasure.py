@@ -551,7 +551,8 @@ class ErasureCodedRemoteTier(Tier):
                 break
             data_holders.append(holder)
         if not degraded:
-            yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
+            if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
+                yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
             try:
                 yield from self._read_fragments(
                     page.page_id, data_holders, frag

@@ -354,6 +354,9 @@ class RemoteRdmaTier(Tier):
         """Generator: flush any partially filled remote batch."""
         yield from self._flush_batch()
 
+    def buffered(self):
+        return bool(self._pending)
+
     def _one_sided(self, target, nbytes, write):
         region = self.directory.receive_region_of(target)
         if region is None:

@@ -416,7 +416,8 @@ class ReplicatedRemoteTier(Tier):
             if self.directory.is_down(holder):
                 continue
             try:
-                yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
+                if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
+                    yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
                 yield from self._read_copy(holder, stored)
             except _TRANSIENT:
                 self.stats.failovers.increment()

@@ -12,11 +12,16 @@ cache; VoltDB as an OLTP store with a heavy write mix and multi-page
 transactions.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.mem.compression import CompressibilityProfile
 from repro.workloads.patterns import ZipfSampler
 from repro.workloads.spec import deprecated_method
+
+#: Operations :meth:`KvWorkloadSpec.iter_operations` draws per block.
+OPS_BLOCK = 1024
 
 
 @dataclass
@@ -65,17 +70,41 @@ class KvWorkloadSpec:
         return ZipfSampler(self.keys, self.zipf_alpha, rng,
                            locality_block=min(self.locality_block, self.keys))
 
-    def iter_operations(self, rng):
-        """Infinite stream of ``(first_page_id, page_count, is_write)``."""
-        sample = self._sampler(rng).sample
-        random = rng.random
+    def _draw_ops(self, zipf, count):
+        """``count`` operations from ``zipf``'s stream, in exactly the
+        per-op draw order: the Zipf key draw, then the write coin.
+
+        Inlines :meth:`ZipfSampler.sample
+        <repro.workloads.patterns.ZipfSampler.sample>`; its
+        ``sample_many`` cannot serve here because the coin interleaves.
+        """
+        random = zipf._rng.random
+        search = bisect_left
+        cumulative = zipf._cumulative
+        total = zipf._total
+        top = zipf.n - 1
+        mapping = zipf._mapping or range(zipf.n)
         pages_per_key = self.pages_per_key
         read_fraction = self.read_fraction
+        return [
+            (mapping[min(search(cumulative, random() * total), top)]
+             * pages_per_key, pages_per_key, random() >= read_fraction)
+            for _ in range(count)
+        ]
+
+    def _op_blocks(self, rng):
+        zipf = self._sampler(rng)
         while True:
-            key = sample()
-            yield key * pages_per_key, pages_per_key, (
-                random() >= read_fraction
-            )
+            yield self._draw_ops(zipf, OPS_BLOCK)
+
+    def iter_operations(self, rng):
+        """Infinite stream of ``(first_page_id, page_count, is_write)``.
+
+        Drawn :data:`OPS_BLOCK` operations at a time, so a consumer
+        that stops early leaves up to a block of draws taken from
+        ``rng``: give the stream an RNG nothing else reads.
+        """
+        return chain.from_iterable(self._op_blocks(rng))
 
     def ops_batch(self, rng, count):
         """``count`` operations as a list, drawn in
@@ -83,18 +112,9 @@ class KvWorkloadSpec:
         operation).
 
         One-shot: every call builds a fresh sampler, so chunked callers
-        should keep the generator from :meth:`iter_operations` instead.
+        should keep the iterator from :meth:`iter_operations` instead.
         """
-        zipf = self._sampler(rng)
-        sample = zipf.sample
-        random = rng.random
-        pages_per_key = self.pages_per_key
-        read_fraction = self.read_fraction
-        return [
-            (sample() * pages_per_key, pages_per_key,
-             random() >= read_fraction)
-            for _ in range(count)
-        ]
+        return self._draw_ops(self._sampler(rng), count)
 
     def iter_accesses(self, rng):
         """Infinite page-granular stream: each operation expanded to

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.experiments import resilience_recovery as rr
+from tests.experiments.conftest import KV_SCALE
 
-SCALE = 0.05
+SCALE = KV_SCALE
 
 
 @pytest.fixture(scope="module")
-def result():
-    return rr.run(scale=SCALE, seed=0)
+def result(kv_payloads):
+    """The sweep report, from the session's shared KV-runner cells."""
+    return rr.report(kv_payloads[rr.EXPERIMENT])
 
 
 def rows_by_cell(result):

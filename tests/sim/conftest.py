@@ -10,7 +10,9 @@ under both and compare what they observe.
 :class:`Model` is a multi-process model over every kernel primitive,
 driven by per-process scripts (:func:`random_scripts` draws seeded
 ones), and :func:`observe` runs it and returns its fire log and the
-clock after every ``run`` call.
+clock after every ``run`` call.  Its plain waits go through
+:meth:`Model.sleep`, which ``test_advance.py`` overrides to wait
+through ``Environment.advance``.
 """
 
 import random
@@ -188,12 +190,16 @@ class Model:
         self.note("{}:{!r}:{!r}".format(name, event, _plain(value)))
         return True
 
+    def sleep(self, name, delay, value=None):
+        """Wait ``delay``; a subclass may wait without a timeout."""
+        return (yield from self.wait(name, self.env.timeout(delay, value)))
+
     def body(self, index, script):
         name = "p{}".format(index)
         env = self.env
         for step, (action, argument) in enumerate(script):
             if action == "timeout":
-                yield from self.wait(name, env.timeout(argument, value=step))
+                yield from self.sleep(name, argument, step)
             elif action in ("lane", "prio"):
                 if action == "lane":
                     resource, request = self.lane, self.lane.request()
@@ -201,7 +207,7 @@ class Model:
                     resource, request = self.cpu, self.cpu.request(argument)
                 try:
                     if (yield from self.wait(name, request)):
-                        yield from self.wait(name, env.timeout(0.25))
+                        yield from self.sleep(name, 0.25)
                 finally:
                     resource.release(request)
             elif action == "put":
@@ -225,7 +231,7 @@ class Model:
                 if victim.is_alive and victim is not env.active_process:
                     victim.interrupt("by {} at step {}".format(name, step))
                     self.note("{}:interrupts:{}".format(name, victim.name))
-                yield from self.wait(name, env.timeout(argument))
+                yield from self.sleep(name, argument)
             elif action == "shared":
                 yield from self.wait(name, self.shared)
             elif action == "stale":
@@ -234,7 +240,7 @@ class Model:
                 if fired is not None and fired.callbacks is None:
                     yield from self.wait(name, fired)
                 else:
-                    yield from self.wait(name, env.timeout(argument))
+                    yield from self.sleep(name, argument)
             elif action == "spawn":
                 child = env.process(self.child(name, argument))
                 yield from self.wait(name, child)
@@ -250,13 +256,13 @@ def _plain(value):
     return value
 
 
-def observe(scripts, runs):
+def observe(scripts, runs, model_class=Model):
     """Run a model built from ``scripts`` through ``runs``, a list of
     ``until`` arguments (a number, ``None``, or ``"pN"`` for process
     ``N``); returns the fire log and, per call, the clock after it and
     its outcome (or the error it raised)."""
     env = Environment()
-    model = Model(env, scripts)
+    model = model_class(env, scripts)
     clocks = []
     for model.run_call, until in enumerate(runs):
         if isinstance(until, str):

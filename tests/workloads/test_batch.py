@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.sim.rng import RngStreams
-from repro.workloads import KV_WORKLOADS, ML_WORKLOADS
+from repro.workloads import KV_WORKLOADS, ML_WORKLOADS, kv
 from repro.workloads.batch import AccessBatch, ZipfBatchSpec, materialize
 from repro.workloads.patterns import ZipfSampler
 from repro.workloads.traces import record_trace
@@ -72,3 +72,45 @@ def test_sample_many_without_locality():
     one = ZipfSampler(50, 1.2, random.Random(9))
     many = ZipfSampler(50, 1.2, random.Random(9))
     assert many.sample_many(200) == [one.sample() for _ in range(200)]
+
+
+def _per_op_reference(spec, rng, count):
+    """One operation at a time: the Zipf key draw, then the write coin."""
+    zipf = ZipfSampler(spec.keys, spec.zipf_alpha, rng,
+                       locality_block=min(spec.locality_block, spec.keys))
+    ops = []
+    for _ in range(count):
+        key = zipf.sample()
+        is_write = rng.random() >= spec.read_fraction
+        ops.append((key * spec.pages_per_key, spec.pages_per_key, is_write))
+    return ops
+
+
+#: Below one block, exactly one block, and ragged counts past it.
+KV_DRAW_COUNTS = (1, 7, kv.OPS_BLOCK, kv.OPS_BLOCK + 1, 2 * kv.OPS_BLOCK + 37)
+
+
+@pytest.mark.parametrize("count", KV_DRAW_COUNTS)
+@pytest.mark.parametrize("name", sorted(KV_WORKLOADS))
+def test_kv_block_draws_equal_the_per_op_reference(name, count):
+    spec = KV_WORKLOADS[name].with_overrides(keys=300)
+    expected = _per_op_reference(spec, RngStreams(13).stream("ops"), count)
+    stream = spec.iter_operations(RngStreams(13).stream("ops"))
+    assert [next(stream) for _ in range(count)] == expected
+    assert spec.ops_batch(RngStreams(13).stream("ops"), count) == expected
+    batch = spec.as_batch(RngStreams(13).stream("ops"), count)
+    assert list(batch.pairs()) == [
+        (first + offset, is_write)
+        for first, pages, is_write in expected
+        for offset in range(pages)
+    ]
+    streamed = spec.iter_accesses(RngStreams(13).stream("ops"))
+    assert [next(streamed) for _ in range(len(batch))] == list(batch.pairs())
+
+
+def test_kv_reference_covers_multi_page_keys_and_writes():
+    spec = KV_WORKLOADS["voltdb"].with_overrides(keys=300)
+    ops = _per_op_reference(spec, RngStreams(13).stream("ops"), 200)
+    assert spec.pages_per_key == 2
+    assert {pages for _first, pages, _write in ops} == {2}
+    assert {is_write for _first, _pages, is_write in ops} == {False, True}
