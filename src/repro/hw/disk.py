@@ -67,7 +67,8 @@ class BlockDevice:
         try:
             duration = self._access_time(offset) + nbytes / self.spec.bandwidth
             self._head_offset = offset + nbytes
-            yield self.env.timeout(duration)
+            if not self.env.advance(duration):
+                yield self.env.timeout(duration)
             self.stats.busy_time += duration
             if is_write:
                 self.stats.writes += 1

@@ -166,7 +166,9 @@ class SharedMemoryPool:
                     self.name, nbytes, self.free_bytes
                 )
             )
-        yield self.env.timeout(self.op_time(nbytes))
+        delay = self.op_time(nbytes)
+        if not self.env.advance(delay):
+            yield self.env.timeout(delay)
         self.puts += 1
         return slot
 
@@ -177,7 +179,9 @@ class SharedMemoryPool:
         """
         slot = self._entries[key]
         self._entries.move_to_end(key)
-        yield self.env.timeout(self.op_time(slot.nbytes))
+        delay = self.op_time(slot.nbytes)
+        if not self.env.advance(delay):
+            yield self.env.timeout(delay)
         self.gets += 1
         return slot.nbytes
 

@@ -231,23 +231,26 @@ class Fabric:
         for dst in dsts:
             self._check_path(src, dst)
         src_nic = self._nics[src]
+        lanes = self._fanout_lanes(src, dsts)
+        if self._core is not None:
+            lanes += (self._core,)  # last, as in ``_transfer``
         held = []
         try:
-            for lane in self._fanout_lanes(src, dsts):
-                request = lane.request()
+            for lane in lanes:
+                # A free lane is claimed with no event (``Resource.claim``).
+                request = lane.claim() or lane.request()
                 # Held from the request on, so an interrupted wait
                 # withdraws it (see ``Resource.release``).
                 held.append((lane, request))
-                yield request
-            if self._core is not None:
-                core_request = self._core.request()
-                held.append((self._core, core_request))
-                yield core_request
-            yield self.env.timeout(max(
+                if request.callbacks is not None:  # not claimed
+                    yield request
+            wire = max(
                 self.transfer_time(nbytes_each, base_latency)
                 * self.degrade_factor(src, dst)
                 for dst in dsts
-            ))
+            )
+            if not self.env.advance(wire):
+                yield self.env.timeout(wire)
             # Any endpoint that died mid-flight loses the whole round.
             for dst in dsts:
                 self._check_path(src, dst)
@@ -304,20 +307,21 @@ class Fabric:
         self._check_path(src, dst)
         src_nic = self._nics[src]
         dst_nic = self._nics[dst]
+        lanes = self._lanes(src, dst)
+        if self._core is not None:
+            # The core is acquired only after both lanes, and its
+            # holders never wait on lanes, so no cycle can form.
+            lanes += (self._core,)
         held = []
         try:
-            for lane in self._lanes(src, dst):
-                request = lane.request()
+            for lane in lanes:
+                # A free lane is claimed with no event (``Resource.claim``).
+                request = lane.claim() or lane.request()
                 # Held from the request on, so an interrupted wait
                 # withdraws it (see ``Resource.release``).
                 held.append((lane, request))
-                yield request
-            if self._core is not None:
-                # The core is acquired only after both lanes, and its
-                # holders never wait on lanes, so no cycle can form.
-                core_request = self._core.request()
-                held.append((self._core, core_request))
-                yield core_request
+                if request.callbacks is not None:  # not claimed
+                    yield request
             wire = (
                 self.transfer_time(nbytes, base_latency)
                 * self.degrade_factor(src, dst)

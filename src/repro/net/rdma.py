@@ -188,7 +188,9 @@ class RdmaDevice:
         """Generator: register ``size`` bytes; returns a :class:`MemoryRegion`."""
         if size <= 0:
             raise ValueError("region size must be positive")
-        yield self.env.timeout(self.fabric.spec.registration_time)
+        delay = self.fabric.spec.registration_time
+        if not self.env.advance(delay):
+            yield self.env.timeout(delay)
         region = MemoryRegion(self.node_id, size)
         self.regions[region.rkey] = region
         self.registered_bytes += size

@@ -17,6 +17,7 @@ map: a tier receives back, on ``get``/``forget``, exactly the
 
 from repro.hw.latency import PAGE_SIZE
 from repro.metrics.stats import Counter, RunningStats
+from repro.net.rdma import RemoteAccessError
 
 
 class TierFull(Exception):
@@ -151,6 +152,21 @@ class Tier:
 
     def forget(self, page_id, label, meta):
         """Release the tier's copy of ``page_id`` (no simulated time)."""
+
+    def _one_sided(self, target, nbytes, write):
+        """Generator: one-sided RDMA write (or read) of ``nbytes`` to
+        (from) ``target``'s receive region, for the remote tiers, which
+        carry a ``node`` and a cluster ``directory``."""
+        region = self.directory.receive_region_of(target)
+        if region is None:
+            raise RemoteAccessError("no region on {!r}".format(target))
+        qp = yield from self.node.device.connect(
+            self.directory.device_of(target)
+        )
+        if write:
+            yield from qp.write(region, nbytes)
+        else:
+            yield from qp.read(region, nbytes)
 
     # -- reporting -----------------------------------------------------------
 

@@ -32,13 +32,17 @@ class CompressionLayer:
     def compress_out(self, page):
         """Generator: compress ``page``; returns the charged stored size."""
         charged = self.store.charged_size(page.compressed_size)
-        yield self.env.timeout(self.engine.compress_time(page.size))
+        delay = self.engine.compress_time(page.size)
+        if not self.env.advance(delay):
+            yield self.env.timeout(delay)
         self.store.store(page)
         return charged
 
     def decompress_in(self, page):
         """Generator: charge decompression for a fetched page."""
-        yield self.env.timeout(self.engine.decompress_time(page.size))
+        delay = self.engine.decompress_time(page.size)
+        if not self.env.advance(delay):
+            yield self.env.timeout(delay)
 
 
 class CompressedPoolTier(Tier):

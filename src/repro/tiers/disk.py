@@ -83,7 +83,8 @@ class DiskSwapTier(Tier):
         self._release_slot(page.page_id)
         slot = self._allocate_slot(page)
         self.cascade.record(page.page_id, self.name, None)
-        yield self.env.timeout(self.cpu.block_layer_overhead)
+        if not self.env.advance(self.cpu.block_layer_overhead):
+            yield self.env.timeout(self.cpu.block_layer_overhead)
         self._pending_write_slots.append(slot)
         self.writes += 1
         self.stats.puts.increment()
@@ -127,7 +128,8 @@ class DiskSwapTier(Tier):
             for neighbour in (self._page_at.get(slot + offset),)
             if neighbour is not None
         ]
-        yield self.env.timeout(self.cpu.block_layer_overhead)
+        if not self.env.advance(self.cpu.block_layer_overhead):
+            yield self.env.timeout(self.cpu.block_layer_overhead)
         yield from self.disk.read(slot * PAGE_SIZE,
                                   self.readahead * PAGE_SIZE)
         self.reads += 1
@@ -162,7 +164,8 @@ class BatchSpillTier(Tier):
     def put_batch(self, batch, nbytes):
         """Generator: one merged device write for the whole batch."""
         offset = self.node.alloc_disk_span(nbytes)
-        yield self.env.timeout(self.cpu.block_layer_overhead)
+        if not self.env.advance(self.cpu.block_layer_overhead):
+            yield self.env.timeout(self.cpu.block_layer_overhead)
         yield from self.device.write(offset, nbytes)
         self.writes += 1
         for page, stored in batch:
@@ -172,7 +175,8 @@ class BatchSpillTier(Tier):
 
     def get(self, page, label, meta):
         stored = meta
-        yield self.env.timeout(self.cpu.block_layer_overhead)
+        if not self.env.advance(self.cpu.block_layer_overhead):
+            yield self.env.timeout(self.cpu.block_layer_overhead)
         yield from self.device.read(self.node.alloc_disk_span(0), stored)
         yield from self.cascade.decompress(page)
         self.reads += 1

@@ -451,7 +451,8 @@ class ErasureCodedRemoteTier(Tier):
                     self.name, self.codec.total_shards, frag
                 )
             )
-        yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
+        if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
+            yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
         tracer = self.env.tracer
         span = None
         if tracer.enabled:
@@ -462,7 +463,9 @@ class ErasureCodedRemoteTier(Tier):
                 m=self.codec.parity_shards,
                 nbytes=nbytes,
             )
-        yield self.env.timeout(self._encode_time(nbytes))
+        encode = self._encode_time(nbytes)
+        if not self.env.advance(encode):
+            yield self.env.timeout(encode)
         if tracer.enabled:
             tracer.end(span, ok=True)
         outcomes = {}
@@ -840,16 +843,6 @@ class ErasureCodedRemoteTier(Tier):
             if area is not None:
                 area.release(page_id)
         self.map.remove_page(page_id)
-
-    def _one_sided(self, target, nbytes, write):
-        region = self.directory.receive_region_of(target)
-        if region is None:
-            raise RemoteAccessError("no region on {!r}".format(target))
-        qp = yield from self.node.device.connect(self.directory.device_of(target))
-        if write:
-            yield from qp.write(region, nbytes)
-        else:
-            yield from qp.read(region, nbytes)
 
     # -- reporting -----------------------------------------------------------
 

@@ -254,7 +254,9 @@ class RemoteRdmaTier(Tier):
             yield from self.cascade.place_batch(batch, nbytes, self.index + 1)
             return
         try:
-            yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD * len(batch))
+            delay = self.REMOTE_PER_PAGE_OVERHEAD * len(batch)
+            if not self.env.advance(delay):
+                yield self.env.timeout(delay)
             yield from self._one_sided(area.node_id, nbytes, write=True)
         except (NetworkError, RemoteAccessError):
             # Target died mid-batch: cascade this batch down a tier.
@@ -315,7 +317,9 @@ class RemoteRdmaTier(Tier):
             )
         nbytes = sum(s for _p, s in batch)
         try:
-            yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD * len(batch))
+            delay = self.REMOTE_PER_PAGE_OVERHEAD * len(batch)
+            if not self.env.advance(delay):
+                yield self.env.timeout(delay)
             yield from self._one_sided(target, nbytes, write=False)
         except (NetworkError, RemoteAccessError):
             self.stats.failovers.increment()
@@ -356,15 +360,3 @@ class RemoteRdmaTier(Tier):
 
     def buffered(self):
         return bool(self._pending)
-
-    def _one_sided(self, target, nbytes, write):
-        region = self.directory.receive_region_of(target)
-        if region is None:
-            raise RemoteAccessError("no region on {!r}".format(target))
-        qp = yield from self.node.device.connect(
-            self.directory.device_of(target)
-        )
-        if write:
-            yield from qp.write(region, nbytes)
-        else:
-            yield from qp.read(region, nbytes)

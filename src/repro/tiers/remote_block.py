@@ -125,9 +125,9 @@ class RemoteBlockTier(Tier):
         self.cascade.record(page.page_id, self.name, area.node_id)
         self.stats.puts.increment()
         self.stats.bytes_in.increment(PAGE_SIZE)
-        yield self.env.timeout(
-            self.cpu.block_layer_overhead + self.extra_op_overhead
-        )
+        delay = self.cpu.block_layer_overhead + self.extra_op_overhead
+        if not self.env.advance(delay):
+            yield self.env.timeout(delay)
         try:
             yield from self._one_sided(area.node_id, PAGE_SIZE, write=True)
             self.writes += 1
@@ -141,9 +141,9 @@ class RemoteBlockTier(Tier):
 
     def get(self, page, label, meta):
         """Generator: one block read; disk backup on remote failure."""
-        yield self.env.timeout(
-            self.cpu.block_layer_overhead + self.extra_op_overhead
-        )
+        delay = self.cpu.block_layer_overhead + self.extra_op_overhead
+        if not self.env.advance(delay):
+            yield self.env.timeout(delay)
         try:
             yield from self._one_sided(meta, PAGE_SIZE, write=False)
             self.reads += 1
@@ -163,18 +163,6 @@ class RemoteBlockTier(Tier):
         area = self.areas.get(meta)
         if area is not None:
             area.release(page_id)
-
-    def _one_sided(self, target, nbytes, write):
-        region = self.directory.receive_region_of(target)
-        if region is None:
-            raise RemoteAccessError("no region on {!r}".format(target))
-        qp = yield from self.node.device.connect(
-            self.directory.device_of(target)
-        )
-        if write:
-            yield from qp.write(region, nbytes)
-        else:
-            yield from qp.read(region, nbytes)
 
 
 class DiskBackupTier(Tier):

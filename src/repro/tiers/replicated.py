@@ -271,7 +271,8 @@ class ReplicatedRemoteTier(Tier):
                     self.name, self.replication, nbytes
                 )
             )
-        yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
+        if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
+            yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
         outcomes = {}
         yield self.env.all_of(
             [
@@ -319,7 +320,8 @@ class ReplicatedRemoteTier(Tier):
                     self.name, self.replication, nbytes
                 )
             )
-        yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
+        if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
+            yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
         try:
             yield from self._fanout_write(targets, nbytes)
         except _TRANSIENT:
@@ -373,7 +375,9 @@ class ReplicatedRemoteTier(Tier):
             if self.directory.receive_region_of(target) is None:
                 raise RemoteAccessError("no region on {!r}".format(target))
         fabric = self.node.device.fabric
-        yield self.env.timeout(fabric.spec.per_message_overhead)
+        overhead = fabric.spec.per_message_overhead
+        if not self.env.advance(overhead):
+            yield self.env.timeout(overhead)
         yield from fabric.fanout(self.node.node_id, targets, nbytes)
 
     def _select_targets(self, nbytes):
@@ -650,16 +654,6 @@ class ReplicatedRemoteTier(Tier):
             if area is not None:
                 area.release(page_id)
         self.map.remove_page(page_id)
-
-    def _one_sided(self, target, nbytes, write):
-        region = self.directory.receive_region_of(target)
-        if region is None:
-            raise RemoteAccessError("no region on {!r}".format(target))
-        qp = yield from self.node.device.connect(self.directory.device_of(target))
-        if write:
-            yield from qp.write(region, nbytes)
-        else:
-            yield from qp.read(region, nbytes)
 
     # -- reporting -----------------------------------------------------------
 

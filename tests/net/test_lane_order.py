@@ -1,7 +1,8 @@
 """Lane acquisition order of fabric transfers.
 
 A transfer takes the sender's TX lane and the receiver's RX lane in one
-canonical global order, the sort of ``"<src>:tx"`` and ``"<dst>:rx"``
+canonical global order (whether it claims a free lane with no event or
+waits on a request for it), the sort of ``"<src>:tx"`` and ``"<dst>:rx"``
 as strings, so that no two transfers can hold-and-wait in a cycle.  The
 order is a string order, not a numeric one: ``node10`` sorts before
 ``node9``.  A fan-out round takes its TX lane and every destination's
@@ -43,12 +44,21 @@ def build(core_concurrency):
 
 
 def record(lane, requested):
-    request = lane.request
+    """Log ``lane``'s name on every acquisition: a claim that granted,
+    or a request (made after a refused claim)."""
+    claim, request = lane.claim, lane.request
+
+    def recording_claim():
+        granted = claim()
+        if granted is not None:
+            requested.append(lane.name)
+        return granted
 
     def recording_request():
         requested.append(lane.name)
         return request()
 
+    lane.claim = recording_claim
     lane.request = recording_request
 
 

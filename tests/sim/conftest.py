@@ -11,14 +11,18 @@ under both and compare what they observe.
 driven by per-process scripts (:func:`random_scripts` draws seeded
 ones), and :func:`observe` runs it and returns its fire log and the
 clock after every ``run`` call.  Its plain waits go through
-:meth:`Model.sleep`, which ``test_advance.py`` overrides to wait
-through ``Environment.advance``.
+:meth:`Model.sleep` and its slot holds through :meth:`Model.hold`;
+:class:`AdvanceModel` sleeps through ``Environment.advance``, and
+``test_claim.py`` holds through ``Resource.claim``.  Both are checked
+against :func:`reference_advance`, which refuses every advance (and so
+every claim).
 """
 
 import random
 from contextlib import contextmanager
 
 from repro.sim import Environment, Interrupt, Process
+from repro.sim.engine import Environment as EngineEnvironment
 from repro.sim.events import PRIORITY_URGENT, Event
 from repro.sim.errors import StopProcess
 from repro.sim.resources import Container, PriorityResource, Resource, Store
@@ -83,6 +87,35 @@ def reference_dispatch():
         Process._resume = saved
 
 
+@contextmanager
+def reference_advance():
+    """``Environment.advance`` that always asks for the timeout."""
+    saved = EngineEnvironment.advance
+    EngineEnvironment.advance = lambda self, delay: False
+    try:
+        yield
+    finally:
+        EngineEnvironment.advance = saved
+
+
+@contextmanager
+def counted_advance():
+    """Count the calls to ``Environment.advance`` that moved the clock."""
+    saved = EngineEnvironment.advance
+    moved = []
+
+    def advance(self, delay):
+        result = saved(self, delay)
+        moved.append(result)
+        return result
+
+    EngineEnvironment.advance = advance
+    try:
+        yield moved
+    finally:
+        EngineEnvironment.advance = saved
+
+
 class StepCounter:
     """Counts ``env.step`` calls (heap dispatches) on one environment."""
 
@@ -110,6 +143,15 @@ DELAY_ACTIONS = (
 COUNT_ACTIONS = ("prio", "cput", "cget")
 GROUP_ACTIONS = ("allof", "anyof")
 ACTIONS = DELAY_ACTIONS + COUNT_ACTIONS + GROUP_ACTIONS
+
+
+#: ``run`` call sequences: drain, fixed chunks, until a process, mixed.
+RUNS = {
+    "drain": [None],
+    "chunks": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 3.5, None],
+    "until-process": ["p0", "p1", None],
+    "mixed": [0.5, "p2", 1.0, "p3", 2.5, None],
+}
 
 
 def random_script(rng, length):
@@ -194,22 +236,25 @@ class Model:
         """Wait ``delay``; a subclass may wait without a timeout."""
         return (yield from self.wait(name, self.env.timeout(delay, value)))
 
+    def hold(self, name, resource, *priority):
+        """Hold a slot of ``resource`` for 0.25; a subclass may claim it."""
+        request = resource.request(*priority)
+        try:
+            if (yield from self.wait(name, request)):
+                yield from self.sleep(name, 0.25)
+        finally:
+            resource.release(request)
+
     def body(self, index, script):
         name = "p{}".format(index)
         env = self.env
         for step, (action, argument) in enumerate(script):
             if action == "timeout":
                 yield from self.sleep(name, argument, step)
-            elif action in ("lane", "prio"):
-                if action == "lane":
-                    resource, request = self.lane, self.lane.request()
-                else:
-                    resource, request = self.cpu, self.cpu.request(argument)
-                try:
-                    if (yield from self.wait(name, request)):
-                        yield from self.sleep(name, 0.25)
-                finally:
-                    resource.release(request)
+            elif action == "lane":
+                yield from self.hold(name, self.lane)
+            elif action == "prio":
+                yield from self.hold(name, self.cpu, argument)
             elif action == "put":
                 yield from self.wait(name, self.store.put((name, step)))
             elif action == "get":
@@ -246,6 +291,25 @@ class Model:
                 yield from self.wait(name, child)
         self.note("{}:done".format(name))
         return index
+
+
+class AdvanceModel(Model):
+    """The shared model, sleeping through ``advance`` where it can.
+
+    Every sleep logs the same tag whichever way it waited, so the two
+    runs compare on clocks and order alone.
+    """
+
+    def sleep(self, name, delay, value=None):
+        env = self.env
+        if not env.advance(delay):
+            try:
+                yield env.timeout(delay)
+            except Interrupt as interrupt:
+                self.note("{}:interrupted:{}".format(name, interrupt.cause))
+                return False
+        self.note("{}:slept:{!r}:{!r}".format(name, delay, value))
+        return True
 
 
 def _plain(value):

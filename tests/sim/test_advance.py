@@ -8,80 +8,23 @@ timeout.  Every model here runs under both and must log the same
 every ``run`` call.
 """
 
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Interrupt
-from repro.sim.engine import Environment as EngineEnvironment
+from repro.sim import Environment
 from tests.sim.conftest import (
     COUNT_ACTIONS,
     DELAY_ACTIONS,
     DELAYS,
     GROUP_ACTIONS,
-    Model,
+    RUNS,
+    AdvanceModel,
+    counted_advance,
     observe,
     random_scripts,
+    reference_advance,
 )
-
-
-@contextmanager
-def reference_advance():
-    """``Environment.advance`` that always asks for the timeout."""
-    saved = EngineEnvironment.advance
-    EngineEnvironment.advance = lambda self, delay: False
-    try:
-        yield
-    finally:
-        EngineEnvironment.advance = saved
-
-
-@contextmanager
-def counted_advance():
-    """Count the calls to ``Environment.advance`` that moved the clock."""
-    saved = EngineEnvironment.advance
-    moved = []
-
-    def advance(self, delay):
-        result = saved(self, delay)
-        moved.append(result)
-        return result
-
-    EngineEnvironment.advance = advance
-    try:
-        yield moved
-    finally:
-        EngineEnvironment.advance = saved
-
-
-class AdvanceModel(Model):
-    """The shared model, sleeping through ``advance`` where it can.
-
-    Every sleep logs the same tag whichever way it waited, so the two
-    runs compare on clocks and order alone.
-    """
-
-    def sleep(self, name, delay, value=None):
-        env = self.env
-        if not env.advance(delay):
-            try:
-                yield env.timeout(delay)
-            except Interrupt as interrupt:
-                self.note("{}:interrupted:{}".format(name, interrupt.cause))
-                return False
-        self.note("{}:slept:{!r}:{!r}".format(name, delay, value))
-        return True
-
-
-#: ``run`` call sequences: drain, fixed chunks, until a process, mixed.
-RUNS = {
-    "drain": [None],
-    "chunks": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 3.5, None],
-    "until-process": ["p0", "p1", None],
-    "mixed": [0.5, "p2", 1.0, "p3", 2.5, None],
-}
 
 
 def both(scripts, runs):

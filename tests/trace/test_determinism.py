@@ -20,9 +20,15 @@ def serial_run():
                                  trace=True)
 
 
-def test_serial_and_parallel_traces_are_identical(serial_run):
-    parallel = engine.run_experiment(EXPERIMENT, scale=SCALE, seed=0, jobs=2,
-                                     trace=True)
+@pytest.fixture(scope="module")
+def parallel_run():
+    """The same traced sweep fanned out over two worker processes."""
+    return engine.run_experiment(EXPERIMENT, scale=SCALE, seed=0, jobs=2,
+                                 trace=True)
+
+
+def test_serial_and_parallel_traces_are_identical(serial_run, parallel_run):
+    parallel = parallel_run
     assert digest(serial_run.trace_events) == digest(parallel.trace_events)
     assert serial_run.trace_events == parallel.trace_events
     # And the payloads agree with the untraced engine path.
@@ -90,11 +96,9 @@ def test_trace_filter_restricts_the_taxonomy():
     )
 
 
-def test_latency_rows_survive_the_worker_boundary(serial_run):
+def test_latency_rows_survive_the_worker_boundary(serial_run, parallel_run):
     assert serial_run.latency_rows, "traced cells must report latencies"
     for row in serial_run.latency_rows:
         assert {"backend", "workload", "fit", "category", "op",
                 "count"} <= set(row)
-    parallel = engine.run_experiment(EXPERIMENT, scale=SCALE, seed=0, jobs=2,
-                                     trace=True)
-    assert parallel.latency_rows == serial_run.latency_rows
+    assert parallel_run.latency_rows == serial_run.latency_rows
