@@ -264,6 +264,50 @@ class Fabric:
             for lane, request in held:
                 lane.release(request)
 
+    def chain(self, node_id, peers, nbytes, inbound, start):
+        """Plan transfers of ``nbytes`` from ``node_id`` to each of
+        ``peers`` (from each to it when ``inbound``), one per process,
+        all asking for ``node_id``'s lane at ``start``.
+
+        They share that one lane, so they run one after another: first
+        those that take it before their peer's lane, then the rest
+        (which ask for it a dispatch later, once they hold their
+        peer's), each group in ``peers`` order; each starts when the one
+        before it ends.  Returns ``(end, order)``, when the last ends
+        and the peers in the order they run, or ``None`` unless the
+        core is unlimited, the peers are distinct (and not none), every
+        path is up and every lane free with no waiter.  The plan holds
+        only if nothing else acts before ``end``.
+        """
+        if (
+            self._core is not None or not peers or node_id in peers
+            or len(set(peers)) < len(peers)
+        ):
+            return None
+        nics = self._nics
+        lane = nics[node_id].rx if inbound else nics[node_id].tx
+        if lane.count or lane.queue_length:
+            return None
+        wire = self.transfer_time(nbytes)
+        end = start
+        first, then, later = [], [], []
+        for peer in peers:
+            src, dst = (peer, node_id) if inbound else (node_id, peer)
+            far = nics[peer].tx if inbound else nics[peer].rx
+            if far.count or far.queue_length or not self.is_reachable(src, dst):
+                return None
+            # The product each transfer computes (``wire * 1.0 == wire``).
+            time = wire * self.degrade_factor(src, dst) if self._degraded else wire
+            if self._lanes(src, dst)[0] is lane:
+                first.append(peer)
+                end += time
+            else:
+                then.append(peer)
+                later.append(time)
+        for time in later:
+            end += time
+        return end, first + then
+
     def _fanout_lanes(self, src, dsts):
         """The TX lane of ``src`` and the RX lane of every ``dsts``, in
         acquisition order.

@@ -83,7 +83,9 @@ class QueuePair:
     def _fail(self):
         self.state = self.STATE_ERROR
 
-    def _check_region(self, region, nbytes):
+    def check_region(self, region, nbytes):
+        """Raise :class:`RemoteAccessError` unless a one-sided op of
+        ``nbytes`` may target ``region``."""
         if not region.valid:
             raise RemoteAccessError("region {!r} revoked".format(region))
         if region.owner_node_id != self.remote.node_id:
@@ -100,7 +102,7 @@ class QueuePair:
     def write(self, region, nbytes):
         """Generator: one-sided RDMA WRITE of ``nbytes`` into ``region``."""
         self._require_ready()
-        self._check_region(region, nbytes)
+        self.check_region(region, nbytes)
         env = self.local.env
         overhead = self.local.fabric.spec.per_message_overhead
         if not env.advance(overhead):
@@ -117,7 +119,7 @@ class QueuePair:
     def read(self, region, nbytes):
         """Generator: one-sided RDMA READ of ``nbytes`` from ``region``."""
         self._require_ready()
-        self._check_region(region, nbytes)
+        self.check_region(region, nbytes)
         env = self.local.env
         overhead = self.local.fabric.spec.per_message_overhead
         if not env.advance(overhead):
@@ -212,8 +214,8 @@ class RdmaDevice:
         whole CM handshake with exponential backoff before giving up
         with :class:`~repro.net.errors.ConnectionFailed`.
         """
-        cached = self._qps.get(remote_device.node_id)
-        if cached is not None and cached.state == QueuePair.STATE_READY:
+        cached = self.ready_qp(remote_device.node_id)
+        if cached is not None:
             return cached
         if retry is None:
             yield from self._handshake(remote_device)
@@ -231,6 +233,14 @@ class RdmaDevice:
         self._qps[remote_device.node_id] = qp
         remote_device._peer_qps.append(qp)
         return qp
+
+    def ready_qp(self, node_id):
+        """The cached queue pair to ``node_id`` if it is usable (what
+        :meth:`connect` reuses without a handshake), or ``None``."""
+        qp = self._qps.get(node_id)
+        if qp is not None and qp.state == QueuePair.STATE_READY:
+            return qp
+        return None
 
     def _handshake(self, remote_device):
         """Generator: one three-way CM handshake attempt over the wire."""

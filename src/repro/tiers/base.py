@@ -17,6 +17,7 @@ map: a tier receives back, on ``get``/``forget``, exactly the
 
 from repro.hw.latency import PAGE_SIZE
 from repro.metrics.stats import Counter, RunningStats
+from repro.net.errors import NetworkError
 from repro.net.rdma import RemoteAccessError
 
 
@@ -167,6 +168,82 @@ class Tier:
             yield from qp.write(region, nbytes)
         else:
             yield from qp.read(region, nbytes)
+
+    def _gather(self, targets, nbytes, write, track, key=None):
+        """Generator: :meth:`_one_sided` with all ``targets`` at once;
+        returns those it succeeded with, in order.  A write also needs
+        its target's area to take ``nbytes`` under ``key`` (a fragmented
+        arena may refuse despite the selection-time check).
+
+        Each transfer runs in a child process ``<track>:<target>``, or,
+        when :meth:`_chain` allows, all run here as the chain those
+        children would form (docs/SIMULATION.md, hot-path rules).
+        """
+        env = self.env
+        landed = [False] * len(targets)
+        chain = self._chain(targets, nbytes, write)
+        if chain is None:
+            yield env.all_of([
+                env.process(
+                    self._gather_one(target, nbytes, write, key, landed, index),
+                    name="{}:{}".format(track, target),
+                )
+                for index, target in enumerate(targets)
+            ])
+        else:
+            fabric = self.node.device.fabric
+            env.advance(fabric.spec.per_message_overhead)
+            me = self.node.node_id
+            for target, qp in chain:
+                src, dst = (me, target) if write else (target, me)
+                yield from fabric.transfer(src, dst, nbytes)  # never waits
+                qp.ops_completed += 1
+                landed[targets.index(target)] = not write or self._reserve(
+                    target, key, nbytes
+                )
+        return [target for target, ok in zip(targets, landed) if ok]
+
+    def _chain(self, targets, nbytes, write):
+        """``[(target, queue pair)]`` in the order :meth:`_gather`'s
+        children would take the caller's NIC lane, if running them in
+        place is exact: untraced (the children own the trace tracks),
+        every target reached through a ready queue pair and a region it
+        may access, no lane busy and the end strictly next
+        (:meth:`Fabric.chain <repro.net.fabric.Fabric.chain>`,
+        ``env.can_advance_to``).  Otherwise ``None``."""
+        env = self.env
+        if env.tracer.enabled:
+            return None
+        device = self.node.device
+        qps = {}
+        for target in targets:
+            qps[target] = qp = device.ready_qp(target)
+            region = self.directory.receive_region_of(target)
+            if qp is None or region is None:
+                return None
+            try:
+                qp.check_region(region, nbytes)
+            except RemoteAccessError:
+                return None
+        fabric = device.fabric
+        plan = fabric.chain(
+            self.node.node_id, targets, nbytes, not write,
+            env.now + fabric.spec.per_message_overhead,
+        )
+        if plan is None or not env.can_advance_to(plan[0]):
+            return None
+        return [(target, qps[target]) for target in plan[1]]
+
+    def _gather_one(self, target, nbytes, write, key, landed, index):
+        try:
+            yield from self._one_sided(target, nbytes, write)
+        except NetworkError:
+            return
+        landed[index] = not write or self._reserve(target, key, nbytes)
+
+    def _reserve(self, target, key, nbytes):
+        area = self.areas.get(target)
+        return area is None or area.reserve(key, nbytes)
 
     # -- reporting -----------------------------------------------------------
 

@@ -28,14 +28,13 @@ Three cooperating pieces:
   reconstruction invariants.
 """
 
-from repro.core.errors import ControlTimeout
 from repro.hw.latency import GiB, PAGE_SIZE
 from repro.metrics.recovery import RecoveryTracker
 from repro.net.errors import NetworkError
 from repro.net.rdma import RemoteAccessError
 from repro.net.retry import RetryPolicy
 from repro.tiers.base import DisplacedPage, Tier, TierFull
-from repro.tiers.remote import RemoteArea, area_policy
+from repro.tiers.remote import reserve_area
 
 _TRANSIENT = (NetworkError, RemoteAccessError)
 
@@ -412,32 +411,7 @@ class ErasureCodedRemoteTier(Tier):
         for peer in self.directory.peers_of(self.node.node_id):
             if self.directory.is_down(peer):
                 continue
-            yield from self._reserve_area(peer)
-
-    def _reserve_area(self, peer):
-        slab_bytes = self.node.config.slab_bytes
-        desired = self.slabs_per_target * slab_bytes
-        available = self.directory.free_receive_bytes(peer)
-        nbytes = min(desired, (available // slab_bytes) * slab_bytes)
-        if nbytes <= 0:
-            return False
-        key = (self.reserve_tag, self.node.node_id, peer)
-        try:
-            reply = yield from self.node.rdmc.control_call(
-                peer, {"op": "reserve", "key": key, "nbytes": nbytes}
-            )
-        except (ControlTimeout,) + _TRANSIENT:
-            return False
-        if not reply.get("ok"):
-            return False
-        self.areas[peer] = RemoteArea(
-            peer,
-            nbytes,
-            policy=area_policy(self.node),
-            env=self.env,
-            name="{}:{}->{}".format(self.name, self.node.node_id, peer),
-        )
-        return True
+            yield from reserve_area(self, peer)
 
     # -- swap-out path (stripe fan-out) --------------------------------------
 
@@ -468,17 +442,10 @@ class ErasureCodedRemoteTier(Tier):
             yield self.env.timeout(encode)
         if tracer.enabled:
             tracer.end(span, ok=True)
-        outcomes = {}
-        yield self.env.all_of(
-            [
-                self.env.process(
-                    self._write_fragment(page.page_id, target, frag, outcomes),
-                    name="stripe:{}:{}".format(page.page_id, target),
-                )
-                for target in targets
-            ]
+        winners = yield from self._gather(
+            targets, frag, True, "stripe:{}".format(page.page_id),
+            key=page.page_id,
         )
-        winners = [target for target in targets if outcomes.get(target)]
         if len(winners) < len(targets):
             # Partial failure: roll back, never commit an under-striped
             # page (a short stripe silently weakens the fault budget).
@@ -515,20 +482,6 @@ class ErasureCodedRemoteTier(Tier):
         if len(live) < self.codec.total_shards:
             return None
         return [area.node_id for area in live[: self.codec.total_shards]]
-
-    def _write_fragment(self, page_id, target, frag, outcomes):
-        try:
-            yield from self._one_sided(target, frag, write=True)
-        except _TRANSIENT:
-            outcomes[target] = False
-        else:
-            area = self.areas.get(target)
-            if area is not None and not area.reserve(page_id, frag):
-                # An arena-backed area refused the fragment despite the
-                # selection-time check: fragmentation left no usable run.
-                outcomes[target] = False
-                return
-            outcomes[target] = True
 
     # -- swap-in path --------------------------------------------------------
 
@@ -607,7 +560,8 @@ class ErasureCodedRemoteTier(Tier):
                 page=page.page_id,
                 missing=self.codec.total_shards - len(live),
             )
-        yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
+        if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
+            yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
         try:
             yield from self._read_fragments(
                 page.page_id, [holder for _index, holder in chosen], frag
@@ -616,7 +570,9 @@ class ErasureCodedRemoteTier(Tier):
             if tracer.enabled:
                 tracer.end(span, ok=False)
             return False
-        yield self.env.timeout(self._decode_time(stored))
+        decode = self._decode_time(stored)
+        if not self.env.advance(decode):
+            yield self.env.timeout(decode)
         if tracer.enabled:
             tracer.end(span, ok=True)
             tracer.latency("ec", "read.degraded", self.env.now - began)
@@ -625,33 +581,16 @@ class ErasureCodedRemoteTier(Tier):
         return True
 
     def _read_fragments(self, page_id, holders, frag):
-        outcomes = {}
         # The sequence number keeps concurrent reads of the same
         # fragment (a degraded read racing a repair's source read) on
         # distinct trace tracks.
         self._read_seq += 1
-        seq = self._read_seq
-        yield self.env.all_of(
-            [
-                self.env.process(
-                    self._read_fragment(holder, frag, position, outcomes),
-                    name="ec-read:{}:{}:{}".format(seq, page_id, holder),
-                )
-                for position, holder in enumerate(holders)
-            ]
-        )
-        if not all(outcomes.get(position) for position in range(len(holders))):
+        track = "ec-read:{}:{}".format(self._read_seq, page_id)
+        landed = yield from self._gather(holders, frag, False, track)
+        if len(landed) < len(holders):
             raise RemoteAccessError(
                 "fragment read for page {} failed".format(page_id)
             )
-
-    def _read_fragment(self, holder, frag, position, outcomes):
-        try:
-            yield from self._one_sided(holder, frag, write=False)
-        except _TRANSIENT:
-            outcomes[position] = False
-        else:
-            outcomes[position] = True
 
     # -- failure handling ----------------------------------------------------
 
@@ -740,7 +679,9 @@ class ErasureCodedRemoteTier(Tier):
                 yield from self._read_fragments(
                     page_id, [holder for _i, holder in sources], frag
                 )
-                yield self.env.timeout(self._decode_time(stored))
+                decode = self._decode_time(stored)
+                if not self.env.advance(decode):
+                    yield self.env.timeout(decode)
                 yield from self._one_sided(destination, frag, write=True)
             except _TRANSIENT:
                 if tracer.enabled:
@@ -816,7 +757,7 @@ class ErasureCodedRemoteTier(Tier):
         for attempt in range(1, policy.max_attempts + 1):
             if self.directory.is_down(node_id):
                 return
-            admitted = yield from self._reserve_area(node_id)
+            admitted = yield from reserve_area(self, node_id)
             if admitted:
                 self.tracker.nodes_recovered.increment()
                 yield from self._top_up_stripes(node_id)

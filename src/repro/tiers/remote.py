@@ -159,6 +159,38 @@ def area_policy(node):
     return "arena" if policy == "arena" else "uniform"
 
 
+def reserve_area(tier, peer):
+    """Generator: reserve up to ``tier.slabs_per_target`` whole slabs of
+    ``peer``'s free receive pool for a remote tier (one carrying
+    ``node``, ``directory``, ``reserve_tag`` and an ``areas`` map); True
+    once ``tier.areas[peer]`` holds the new :class:`RemoteArea`."""
+    node = tier.node
+    slab_bytes = node.config.slab_bytes
+    available = tier.directory.free_receive_bytes(peer)
+    nbytes = min(
+        tier.slabs_per_target * slab_bytes, (available // slab_bytes) * slab_bytes
+    )
+    if nbytes <= 0:
+        return False
+    key = (tier.reserve_tag, node.node_id, peer)
+    try:
+        reply = yield from node.rdmc.control_call(
+            peer, {"op": "reserve", "key": key, "nbytes": nbytes}
+        )
+    except (ControlTimeout, NetworkError):
+        return False
+    if not reply.get("ok"):
+        return False
+    tier.areas[peer] = RemoteArea(
+        peer,
+        nbytes,
+        policy=area_policy(node),
+        env=tier.env,
+        name="{}:{}->{}".format(tier.name, node.node_id, peer),
+    )
+    return True
+
+
 class RemoteRdmaTier(Tier):
     """Batched one-sided RDMA to peer-donated slab areas."""
 
@@ -198,32 +230,9 @@ class RemoteRdmaTier(Tier):
 
     def setup(self):
         """Generator: reserve remote slab areas on live group peers."""
-        slab_bytes = self.node.config.slab_bytes
         for peer in self.directory.peers_of(self.node.node_id):
-            if self.directory.is_down(peer):
-                continue
-            desired = self.slabs_per_target * slab_bytes
-            available = self.directory.free_receive_bytes(peer)
-            nbytes = min(desired, (available // slab_bytes) * slab_bytes)
-            if nbytes <= 0:
-                continue
-            key = (self.reserve_tag, self.node.node_id, peer)
-            try:
-                reply = yield from self.node.rdmc.control_call(
-                    peer, {"op": "reserve", "key": key, "nbytes": nbytes}
-                )
-            except (NetworkError, ControlTimeout):
-                continue
-            if reply.get("ok"):
-                self.areas[peer] = RemoteArea(
-                    peer,
-                    nbytes,
-                    policy=area_policy(self.node),
-                    env=self.env,
-                    name="{}:{}->{}".format(
-                        self.name, self.node.node_id, peer
-                    ),
-                )
+            if not self.directory.is_down(peer):
+                yield from reserve_area(self, peer)
 
     # -- swap-out path -------------------------------------------------------
 

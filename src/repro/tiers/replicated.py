@@ -36,14 +36,13 @@ property tests can drive it through arbitrary failure schedules
 without a simulator in the loop.
 """
 
-from repro.core.errors import ControlTimeout
 from repro.hw.latency import PAGE_SIZE
 from repro.metrics.recovery import RecoveryTracker
 from repro.net.errors import NetworkError
 from repro.net.rdma import RemoteAccessError
 from repro.net.retry import RetryPolicy, retrying
 from repro.tiers.base import DisplacedPage, Tier, TierFull
-from repro.tiers.remote import RemoteArea, area_policy
+from repro.tiers.remote import reserve_area
 
 _TRANSIENT = (NetworkError, RemoteAccessError)
 
@@ -220,7 +219,7 @@ class ReplicatedRemoteTier(Tier):
         for peer in self.directory.peers_of(self.node.node_id):
             if self.directory.is_down(peer):
                 continue
-            yield from self._reserve_area(peer)
+            yield from reserve_area(self, peer)
         if self.write_protocol == "one-rtt":
             # The one-RTT protocol pays connection setup here, once,
             # so a put is a single fan-out round on the data plane.
@@ -231,31 +230,6 @@ class ReplicatedRemoteTier(Tier):
                     )
                 except _TRANSIENT:
                     continue
-
-    def _reserve_area(self, peer):
-        slab_bytes = self.node.config.slab_bytes
-        desired = self.slabs_per_target * slab_bytes
-        available = self.directory.free_receive_bytes(peer)
-        nbytes = min(desired, (available // slab_bytes) * slab_bytes)
-        if nbytes <= 0:
-            return False
-        key = (self.reserve_tag, self.node.node_id, peer)
-        try:
-            reply = yield from self.node.rdmc.control_call(
-                peer, {"op": "reserve", "key": key, "nbytes": nbytes}
-            )
-        except (ControlTimeout,) + _TRANSIENT:
-            return False
-        if not reply.get("ok"):
-            return False
-        self.areas[peer] = RemoteArea(
-            peer,
-            nbytes,
-            policy=area_policy(self.node),
-            env=self.env,
-            name="{}:{}->{}".format(self.name, self.node.node_id, peer),
-        )
-        return True
 
     # -- swap-out path (write-all) -------------------------------------------
 
@@ -273,17 +247,10 @@ class ReplicatedRemoteTier(Tier):
             )
         if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
             yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
-        outcomes = {}
-        yield self.env.all_of(
-            [
-                self.env.process(
-                    self._write_copy(page.page_id, target, nbytes, outcomes),
-                    name="replicate:{}:{}".format(page.page_id, target),
-                )
-                for target in targets
-            ]
+        winners = yield from self._gather(
+            targets, nbytes, True, "replicate:{}".format(page.page_id),
+            key=page.page_id,
         )
-        winners = [target for target in targets if outcomes.get(target)]
         if len(winners) < len(targets):
             # Partial failure: roll back, never commit under-replicated.
             for target in winners:
@@ -393,20 +360,6 @@ class ReplicatedRemoteTier(Tier):
         if len(live) < self.replication:
             return None
         return [area.node_id for area in live[: self.replication]]
-
-    def _write_copy(self, page_id, target, nbytes, outcomes):
-        try:
-            yield from self._one_sided(target, nbytes, write=True)
-        except _TRANSIENT:
-            outcomes[target] = False
-        else:
-            area = self.areas.get(target)
-            if area is not None and not area.reserve(page_id, nbytes):
-                # An arena-backed area refused the copy: fragmentation
-                # made it unplaceable despite the selection-time check.
-                outcomes[target] = False
-                return
-            outcomes[target] = True
 
     # -- swap-in path (read-one) ---------------------------------------------
 
@@ -568,7 +521,7 @@ class ReplicatedRemoteTier(Tier):
         for attempt in range(1, policy.max_attempts + 1):
             if self.directory.is_down(node_id):
                 return
-            admitted = yield from self._reserve_area(node_id)
+            admitted = yield from reserve_area(self, node_id)
             if admitted:
                 self.tracker.nodes_recovered.increment()
                 yield from self._top_up(node_id)
