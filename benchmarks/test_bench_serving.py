@@ -18,7 +18,8 @@ def test_bench_open_loop_serving(run_once, benchmark):
     assert any(row["goodput_rps"] < row["offered"] for row in collapsed)
     simulated_requests = sum(row["offered"] for row in rows)
     simulated_users = max(row["users"] for row in rows)
-    wall = benchmark.stats["mean"]
+    # ``stats`` is None under ``--benchmark-disable``: no wall to report.
+    wall = benchmark.stats["mean"] if benchmark.stats else 0.0
     benchmark.extra_info["simulated_users_per_cell"] = simulated_users
     benchmark.extra_info["simulated_requests"] = simulated_requests
     benchmark.extra_info["simulated_requests_per_sec"] = (
@@ -52,7 +53,8 @@ def test_bench_million_user_admission_cell(run_once, benchmark):
     assert payload["users"] >= 1_000_000
     assert payload["shed"] > 0
     assert payload["completed"] + payload["shed"] == payload["offered"]
-    wall = benchmark.stats["mean"]
+    # ``stats`` is None under ``--benchmark-disable``: no wall to report.
+    wall = benchmark.stats["mean"] if benchmark.stats else 0.0
     benchmark.extra_info["simulated_users"] = payload["users"]
     benchmark.extra_info["users_per_sec"] = (
         payload["users"] / wall if wall > 0 else 0.0

@@ -13,6 +13,11 @@ concurrent flows to or from one node queue behind each other.
 Failure state lives here: nodes and directed links can be marked down,
 and every transfer checks that state both when it starts and when it
 would complete (a mid-flight crash loses the transfer).
+
+A transfer nothing else could observe, with free lanes, an unlimited
+core, the path up and its end strictly next, is done in place as plain
+arithmetic (:meth:`Fabric.send_now`): the clock moves by the wire time,
+no lane is taken and nothing can fail mid-flight.
 """
 
 from repro.net.errors import LinkDown, RemoteNodeDown
@@ -48,8 +53,7 @@ class Fabric:
         self._down_nodes = set()
         self._down_links = set()  # directed (src, dst) pairs
         self._degraded = {}  # node_id -> latency/bandwidth multiplier
-        self._lane_order = {}  # (src, dst) -> (first lane, second lane)
-        self._fanout_order = {}  # (src, tuple(dsts)) -> lanes in order
+        self._lane_order = {}  # (src, dsts) -> lanes in acquisition order
         self._core = (
             Resource(env, capacity=core_concurrency, name="fabric-core")
             if core_concurrency > 0 else None
@@ -171,12 +175,13 @@ class Fabric:
         if the path is (or goes) down.  ``op`` labels the traffic class
         ("data" or "control") for tracing only.
 
-        Untraced, this hands back the :meth:`_transfer` generator
-        itself, so a transfer costs one generator frame per resumption
-        rather than two.
+        Untraced, this hands back the :meth:`_send` generator itself, so
+        a transfer costs one generator frame per resumption rather than
+        two.  Nothing moves until that generator first runs (a watchdog
+        may start it later, in a child process).
         """
         if not self.env.tracer.enabled:
-            return self._transfer(src, dst, nbytes, base_latency)
+            return self._send(src, (dst,), nbytes, base_latency)
         return self._traced_transfer(src, dst, nbytes, base_latency, op)
 
     def _traced_transfer(self, src, dst, nbytes, base_latency, op):
@@ -184,7 +189,7 @@ class Fabric:
         began = self.env.now
         span = tracer.begin("net.send", src=src, dst=dst, nbytes=nbytes, op=op)
         try:
-            yield from self._transfer(src, dst, nbytes, base_latency)
+            yield from self._send(src, (dst,), nbytes, base_latency)
         except Exception as error:
             tracer.end(span, ok=False, error=type(error).__name__)
             raise
@@ -203,66 +208,29 @@ class Fabric:
         partially.  Emits a single ``net.send`` span carrying the
         ``dsts`` list and a ``fanout`` count.
         """
-        dsts = list(dsts)
+        dsts = tuple(dsts)
         if not dsts:
             return
         tracer = self.env.tracer
         if not tracer.enabled:
-            yield from self._fanout(src, dsts, nbytes_each, base_latency)
+            yield from self._send(src, dsts, nbytes_each, base_latency)
             return
         began = self.env.now
         span = tracer.begin(
             "net.send",
             src=src,
-            dsts=dsts,
+            dsts=list(dsts),
             nbytes=nbytes_each * len(dsts),
             op=op,
             fanout=len(dsts),
         )
         try:
-            yield from self._fanout(src, dsts, nbytes_each, base_latency)
+            yield from self._send(src, dsts, nbytes_each, base_latency)
         except Exception as error:
             tracer.end(span, ok=False, error=type(error).__name__)
             raise
         tracer.end(span, ok=True)
         tracer.latency("net", "send." + op, self.env.now - began)
-
-    def _fanout(self, src, dsts, nbytes_each, base_latency=None):
-        for dst in dsts:
-            self._check_path(src, dst)
-        src_nic = self._nics[src]
-        lanes = self._fanout_lanes(src, dsts)
-        if self._core is not None:
-            lanes += (self._core,)  # last, as in ``_transfer``
-        held = []
-        try:
-            for lane in lanes:
-                # A free lane is claimed with no event (``Resource.claim``).
-                request = lane.claim() or lane.request()
-                # Held from the request on, so an interrupted wait
-                # withdraws it (see ``Resource.release``).
-                held.append((lane, request))
-                if request.callbacks is not None:  # not claimed
-                    yield request
-            wire = max(
-                self.transfer_time(nbytes_each, base_latency)
-                * self.degrade_factor(src, dst)
-                for dst in dsts
-            )
-            if not self.env.advance(wire):
-                yield self.env.timeout(wire)
-            # Any endpoint that died mid-flight loses the whole round.
-            for dst in dsts:
-                self._check_path(src, dst)
-            src_nic.bytes_sent += nbytes_each * len(dsts)
-            src_nic.messages_sent += 1
-            for dst in dsts:
-                self._nics[dst].bytes_received += nbytes_each
-            self.total_bytes += nbytes_each * len(dsts)
-            self.total_messages += 1
-        finally:
-            for lane, request in held:
-                lane.release(request)
 
     def chain(self, node_id, peers, nbytes, inbound, start):
         """Plan transfers of ``nbytes`` from ``node_id`` to each of
@@ -286,7 +254,7 @@ class Fabric:
             return None
         nics = self._nics
         lane = nics[node_id].rx if inbound else nics[node_id].tx
-        if lane.count or lane.queue_length:
+        if lane.users or lane.queue_length:
             return None
         wire = self.transfer_time(nbytes)
         end = start
@@ -294,11 +262,11 @@ class Fabric:
         for peer in peers:
             src, dst = (peer, node_id) if inbound else (node_id, peer)
             far = nics[peer].tx if inbound else nics[peer].rx
-            if far.count or far.queue_length or not self.is_reachable(src, dst):
+            if far.users or far.queue_length or not self.is_reachable(src, dst):
                 return None
             # The product each transfer computes (``wire * 1.0 == wire``).
             time = wire * self.degrade_factor(src, dst) if self._degraded else wire
-            if self._lanes(src, dst)[0] is lane:
+            if self._lanes(src, (dst,))[0] is lane:
                 first.append(peer)
                 end += time
             else:
@@ -308,52 +276,84 @@ class Fabric:
             end += time
         return end, first + then
 
-    def _fanout_lanes(self, src, dsts):
-        """The TX lane of ``src`` and the RX lane of every ``dsts``, in
-        acquisition order.
+    def _lanes(self, src, dsts):
+        """The TX lane of ``src`` and the RX lane of every ``dsts`` (a
+        tuple), in acquisition order.
 
-        Same canonical rule as :meth:`_lanes`: sorted by the string keys
-        ``"<src>:tx"`` and ``"<dst>:rx"``, so no cycle of holders can
-        form whatever else is in flight.  Worked out once per
-        ``(src, dsts)``.
+        Lanes are acquired in a canonical global order, the string order
+        of the keys ``"<src>:tx"`` and ``"<dst>:rx"``, so that concurrent
+        transfers can never hold-and-wait in a cycle (deadlock).  A TX
+        and an RX key never tie, and the order never changes, so it is
+        worked out once per ``(src, dsts)``.
         """
-        key = (src, tuple(dsts))
-        lanes = self._fanout_order.get(key)
+        key = (src, dsts)
+        lanes = self._lane_order.get(key)
         if lanes is None:
             keyed = [("{}:tx".format(src), self._nics[src].tx)] + [
                 ("{}:rx".format(dst), self._nics[dst].rx) for dst in dsts
             ]
             keyed.sort(key=lambda pair: pair[0])
             lanes = tuple(lane for _key, lane in keyed)
-            self._fanout_order[key] = lanes
+            self._lane_order[key] = lanes
         return lanes
 
-    def _lanes(self, src, dst):
-        """The TX lane of ``src`` and RX lane of ``dst``, in acquisition order.
+    def _wire(self, src, dsts, nbytes_each, base_latency):
+        """The wire time of a round to ``dsts``: its slowest path's."""
+        wire = self.transfer_time(nbytes_each, base_latency)
+        if self._degraded:  # else ``wire * 1.0 == wire``
+            wire *= max(self.degrade_factor(src, dst) for dst in dsts)
+        return wire
 
-        Lanes are acquired in a canonical global order, the string order
-        of the keys ``"<src>:tx"`` and ``"<dst>:rx"`` (``_fanout`` sorts
-        by the same keys), so that concurrent transfers can never
-        hold-and-wait in a cycle (deadlock).  The two keys never tie, and
-        the order of a pair never changes, so it is worked out once.
+    def _count(self, src, dsts, nbytes_each):
+        nics = self._nics
+        nbytes = nbytes_each * len(dsts)
+        nic = nics[src]
+        nic.bytes_sent += nbytes
+        nic.messages_sent += 1
+        for dst in dsts:
+            nics[dst].bytes_received += nbytes_each
+        self.total_bytes += nbytes
+        self.total_messages += 1
+
+    def send_now(self, src, dsts, nbytes_each, base_latency=None):
+        """Move ``nbytes_each`` from ``src`` to every ``dsts`` (a tuple;
+        one destination is a transfer, more a fan-out round) in place,
+        if nothing could observe it; False changes nothing.
+
+        It goes ahead only when the core is unlimited, the TX lane of
+        ``src`` and the RX lane of every ``dsts`` have no holder and no
+        waiter, every path is up and ``env.advance(wire)`` holds.  Then
+        every claim's ``advance(0)`` would hold too, and nothing (a
+        crash, say) can act before a strictly-next time, so the lanes
+        need not be taken and the path need not be checked again at
+        the end: a free device's ``avail = max(avail, now) + wire``.
         """
-        lanes = self._lane_order.get((src, dst))
-        if lanes is None:
-            tx, rx = self._nics[src].tx, self._nics[dst].rx
-            if "{}:tx".format(src) < "{}:rx".format(dst):
-                lanes = (tx, rx)
-            else:
-                lanes = (rx, tx)
-            self._lane_order[(src, dst)] = lanes
-        return lanes
-
-    def _transfer(self, src, dst, nbytes, base_latency=None):
-        self._check_path(src, dst)
-        src_nic = self._nics[src]
-        dst_nic = self._nics[dst]
-        lanes = self._lanes(src, dst)
         if self._core is not None:
-            # The core is acquired only after both lanes, and its
+            return False
+        nics = self._nics
+        lane = nics[src].tx
+        if lane.users or lane.queue_length:
+            return False
+        for dst in dsts:
+            lane = nics[dst].rx
+            if lane.users or lane.queue_length or not self.is_reachable(src, dst):
+                return False
+        if not self.env.advance(self._wire(src, dsts, nbytes_each, base_latency)):
+            return False
+        self._count(src, dsts, nbytes_each)
+        return True
+
+    def _send(self, src, dsts, nbytes_each, base_latency=None):
+        """Generator: :meth:`send_now`, or, when it refuses, the same
+        transfer or round holding every lane it needs for the wire time.
+        """
+        if self.send_now(src, dsts, nbytes_each, base_latency):
+            return
+        for dst in dsts:
+            self._check_path(src, dst)
+        lanes = self._lanes(src, dsts)
+        if self._core is not None:
+            # The core is acquired only after every lane, and its
             # holders never wait on lanes, so no cycle can form.
             lanes += (self._core,)
         held = []
@@ -366,19 +366,13 @@ class Fabric:
                 held.append((lane, request))
                 if request.callbacks is not None:  # not claimed
                     yield request
-            wire = (
-                self.transfer_time(nbytes, base_latency)
-                * self.degrade_factor(src, dst)
-            )
+            wire = self._wire(src, dsts, nbytes_each, base_latency)
             if not self.env.advance(wire):
                 yield self.env.timeout(wire)
-            # A node or link that died mid-flight loses the transfer.
-            self._check_path(src, dst)
-            src_nic.bytes_sent += nbytes
-            src_nic.messages_sent += 1
-            dst_nic.bytes_received += nbytes
-            self.total_bytes += nbytes
-            self.total_messages += 1
+            # A node or link that died mid-flight loses the whole round.
+            for dst in dsts:
+                self._check_path(src, dst)
+            self._count(src, dsts, nbytes_each)
         finally:
             for lane, request in held:
                 lane.release(request)

@@ -161,9 +161,10 @@ class Tier:
         region = self.directory.receive_region_of(target)
         if region is None:
             raise RemoteAccessError("no region on {!r}".format(target))
-        qp = yield from self.node.device.connect(
-            self.directory.device_of(target)
-        )
+        device = self.node.device
+        qp = device.ready_qp(target)
+        if qp is None:
+            qp = yield from device.connect(self.directory.device_of(target))
         if write:
             yield from qp.write(region, nbytes)
         else:
@@ -196,7 +197,12 @@ class Tier:
             me = self.node.node_id
             for target, qp in chain:
                 src, dst = (me, target) if write else (target, me)
-                yield from fabric.transfer(src, dst, nbytes)  # never waits
+                # ``Fabric.chain`` proved every lane free and the end
+                # strictly next, so each transfer is done in place.
+                if not fabric.send_now(src, (dst,), nbytes):
+                    raise RuntimeError(
+                        "chain transfer {} -> {} refused".format(src, dst)
+                    )
                 qp.ops_completed += 1
                 landed[targets.index(target)] = not write or self._reserve(
                     target, key, nbytes

@@ -5,10 +5,12 @@ fragment reads, TX for stripe and replica writes), so as child
 processes they would queue on it and land one after another.  When
 ``Tier._chain`` finds nothing else able to act before the last lands,
 the caller runs that chain itself.  The reference patches ``_chain`` to
-refuse (:func:`reference_gather`), so every gather spawns its children;
-each scenario below must log the same ``(now, label)`` sequence and end
-in the same state (tier rows, fabric, NIC and queue-pair counters, area
-usage, stripe and replica maps) under both.
+refuse (:func:`reference_gather`), so every gather spawns its children,
+and ``Fabric.send_now`` to refuse (``reference_send``), so every child's
+transfer takes its lanes; each scenario below must log the same
+``(now, label)`` sequence and end in the same state (tier rows, fabric,
+NIC and queue-pair counters, area usage, stripe and replica maps) under
+both.
 """
 
 from collections import Counter
@@ -26,6 +28,7 @@ from repro.swap.factory import make_swap_backend
 from repro.tiers.base import Tier
 from repro.tiers.remote import RemoteArea
 from repro.trace import runtime
+from tests.net.test_send_now import reference_send
 
 BACKENDS = ("ec-remote", "replicated-remote")
 
@@ -161,7 +164,7 @@ def both(*args, **kwargs):
     and the counts of the first."""
     with counted_gathers() as tally:
         new = observe(*args, **kwargs)
-    with reference_gather():
+    with reference_gather(), reference_send():
         old = observe(*args, **kwargs)
     return new, old, tally
 
@@ -401,7 +404,7 @@ def test_a_traced_run_spawns_every_gather(backend_name):
 
     with counted_gathers() as tally:
         new = traced()
-    with reference_gather():
+    with reference_gather(), reference_send():
         old = traced()
     assert new == old
     assert tally["inline"] == 0 and tally["spawned"] > 0
