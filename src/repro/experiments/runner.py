@@ -495,39 +495,37 @@ def run_kv_workload(backend_name, spec, fit_fraction, *, duration=5.0,
                 mmu.swapped_valid.add(page.page_id)
             yield from backend.drain()
         start = cluster.env.now
+        operations = spec.iter_operations(rng.stream("ops"))
+        if not fast_path:
+            completed["ops"] = yield from mmu.serve_ops(
+                operations, start, duration, window, timeline, op_histogram
+            )
+            return
         window_end = start + window
         window_ops = 0
-        operations = spec.iter_operations(rng.stream("ops"))
-        touch = mmu.touch
-        settle = mmu.settle
         while cluster.env.now - start < duration:
             first_page, count, is_write = next(operations)
             op_began = cluster.env.now
-            if fast_path:
-                # Bulk the op's page burst; fall back to the event
-                # engine for whatever the kernel would not inline.  An
-                # op whose first page would immediately major-fault
-                # (cold starts are all such ops) skips the kernel.
-                if (
-                    first_page not in mmu.resident
-                    and first_page not in mmu.prefetch
-                    and first_page in mmu.swapped_valid
-                ):
-                    index = 0
-                else:
-                    index, _reason = flatpath.advance(
-                        mmu,
-                        range(first_page, first_page + count),
-                        (is_write,) * count,
-                        0,
-                    )
-                for offset in range(index, count):
-                    yield from mmu.access(first_page + offset, write=is_write)
+            # Bulk the op's page burst; fall back to the event engine
+            # for whatever the kernel would not inline.  An op whose
+            # first page would immediately major-fault (cold starts are
+            # all such ops) skips the kernel.
+            if (
+                first_page not in mmu.resident
+                and first_page not in mmu.prefetch
+                and first_page in mmu.swapped_valid
+            ):
+                index = 0
             else:
-                for page_id in range(first_page, first_page + count):
-                    if not touch(page_id, is_write):
-                        yield from mmu.access(page_id, is_write)
-            if not settle():
+                index, _reason = flatpath.advance(
+                    mmu,
+                    range(first_page, first_page + count),
+                    (is_write,) * count,
+                    0,
+                )
+            for offset in range(index, count):
+                yield from mmu.access(first_page + offset, write=is_write)
+            if not mmu.settle():
                 yield from mmu.flush()
             if op_histogram is not None:
                 op_histogram.record(cluster.env.now - op_began)

@@ -23,9 +23,16 @@ Design notes
 """
 
 from collections import OrderedDict
+from itertools import islice
+from math import inf
 
 from repro.hw.latency import CpuSpec
 from repro.sim import flatpath
+
+
+#: Operations :meth:`VirtualMemory.serve_ops` serves per latency
+#: flush: the most op latencies it buffers.
+SERVE_BLOCK = 1024
 
 
 class PagingStats:
@@ -243,6 +250,122 @@ class VirtualMemory:
             # First touch: demand-zero fault, no backend involved.
             self.stats.minor_faults += 1
         self._insert_resident(page, write)
+
+    def serve_ops(self, operations, start, duration, window, timeline,
+                  latencies=None):
+        """Generator: a closed-loop client serving ``operations`` until
+        ``duration`` simulated seconds past ``start``; returns the
+        number of operations completed.
+
+        Each ``(first_page, count, is_write)`` op touches its pages and
+        then charges their time.  Whenever the clock reaches the end of
+        a ``window``, ``(window_end - start, window_ops / window)`` goes
+        onto ``timeline``.  ``latencies`` (a
+        :class:`~repro.trace.histogram.LatencyHistogram`), when given,
+        gets every op's latency, in blocks of :data:`SERVE_BLOCK`.
+
+        An op whose pages are all resident is served in place with
+        :meth:`touch`'s and :meth:`settle`'s float additions: its end
+        ``now + pending`` becomes the clock when it is within the run's
+        horizon, strictly earlier than the heap head, and the backend
+        holds no buffered writes.  Every other op runs :meth:`touch` or
+        :meth:`access` per page and then :meth:`settle` or
+        :meth:`flush`.  Nothing but such an op moves the clock, the
+        horizon or the heap head while this process runs, so they are
+        re-read only after one, and the head after a write's
+        swap-copy discard too.
+        """
+        env = self.env
+        heap = env._heap
+        stats = self.stats
+        resident = self.resident
+        is_resident = resident.__contains__
+        move_to_end = resident.move_to_end
+        pages = self.pages
+        swapped_valid = self.swapped_valid
+        discard = self.backend.discard
+        buffered = self.backend.buffered
+        touch = self.touch
+        compute = self.compute_per_access
+        hit_time = self.HIT_TIME
+        # One page's two additions to the zero pending time an op starts at.
+        page_cost = compute + hit_time
+        samples = None if latencies is None else []
+        now = env.now
+        horizon = env._horizon
+        head = heap[0][0] if heap else inf
+        window_end = start + window
+        window_ops = 0
+        done = 0
+        hits = 0
+        while now - start < duration:
+            for first_page, count, is_write in islice(operations, SERVE_BLOCK):
+                began = now
+                if first_page in resident and (
+                    count == 1
+                    or all(map(is_resident,
+                               range(first_page + 1, first_page + count)))
+                ):
+                    if count == 1:
+                        pending = page_cost
+                        move_to_end(first_page)
+                    else:
+                        pending = 0.0
+                        for page_id in range(first_page, first_page + count):
+                            pending += compute
+                            move_to_end(page_id)
+                            pending += hit_time
+                    if is_write:
+                        for page_id in range(first_page, first_page + count):
+                            page = pages[page_id]
+                            page.dirty = True
+                            if page_id in swapped_valid:
+                                swapped_valid.discard(page_id)
+                                discard(page)
+                                head = heap[0][0] if heap else inf
+                    hits += count
+                    when = now + pending
+                    if when <= horizon and when < head:
+                        env.now = now = when
+                        slow = buffered()
+                    else:
+                        self._pending_time = pending
+                        slow = True
+                    if slow:
+                        stats.accesses += hits
+                        stats.resident_hits += hits
+                        hits = 0
+                        yield from self.flush()
+                else:
+                    slow = True
+                    stats.accesses += hits
+                    stats.resident_hits += hits
+                    hits = 0
+                    for page_id in range(first_page, first_page + count):
+                        if not touch(page_id, is_write):
+                            yield from self.access(page_id, is_write)
+                    if not self.settle():
+                        yield from self.flush()
+                if slow:
+                    now = env.now
+                    horizon = env._horizon
+                    head = heap[0][0] if heap else inf
+                if samples is not None:
+                    samples.append(now - began)
+                done += 1
+                window_ops += 1
+                while now >= window_end:
+                    timeline.append((window_end - start, window_ops / window))
+                    window_ops = 0
+                    window_end += window
+                if not now - start < duration:
+                    break
+            if samples:
+                latencies.record_many(samples)
+                samples.clear()
+        stats.accesses += hits
+        stats.resident_hits += hits
+        return done
 
     def run_batch(self, batch, start=0, stop=None):
         """Generator: drive a pre-materialized

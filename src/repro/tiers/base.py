@@ -124,7 +124,9 @@ class Tier:
 
     def buffered(self):
         """True while :meth:`drain` has writes to flush; a tier that
-        overrides ``drain`` overrides this too."""
+        overrides ``drain`` overrides this too, and adds each write it
+        buffers to ``cascade.pending_writes`` and takes it off again
+        when flushed or forgotten (the cascade's O(1) ``buffered``)."""
         return False
 
     # -- data path -----------------------------------------------------------

@@ -191,6 +191,9 @@ class TierCascade(SwapBackend):
         self._draining_tiers = [
             tier for tier in self.tiers if type(tier).drain is not Tier.drain
         ]
+        #: Writes the draining tiers hold for :meth:`drain` to flush;
+        #: each such tier counts its own in and out.
+        self.pending_writes = 0
         if pbs is not None:
             pbs.attach(self)
         self.page_table = None  # set via bind_page_table (enables PBS)
@@ -337,10 +340,7 @@ class TierCascade(SwapBackend):
 
     def buffered(self):
         """True while any tier holds writes :meth:`drain` would flush."""
-        for tier in self._draining_tiers:
-            if tier.buffered():
-                return True
-        return False
+        return self.pending_writes > 0
 
     def discard(self, page):
         self.forget(page.page_id)

@@ -86,6 +86,7 @@ class DiskSwapTier(Tier):
         if not self.env.advance(self.cpu.block_layer_overhead):
             yield self.env.timeout(self.cpu.block_layer_overhead)
         self._pending_write_slots.append(slot)
+        self.cascade.pending_writes += 1
         self.writes += 1
         self.stats.puts.increment()
         self.stats.bytes_in.increment(PAGE_SIZE)
@@ -102,6 +103,7 @@ class DiskSwapTier(Tier):
 
     def _submit_writeback(self):
         slots, self._pending_write_slots = self._pending_write_slots, []
+        self.cascade.pending_writes -= len(slots)
         window_slot = self._writeback.request()
         yield window_slot  # dirty throttling: stall when backlogged
         self.env.process(

@@ -240,6 +240,7 @@ class RemoteRdmaTier(Tier):
         """Generator: stage the page in the send buffer; flush per window."""
         self._pending.append((page, nbytes))
         self._pending_bytes += nbytes
+        self.cascade.pending_writes += 1
         self.cascade.record(page.page_id, "buffer", nbytes)
         self.stats.puts.increment()
         self.stats.bytes_in.increment(nbytes)
@@ -252,6 +253,7 @@ class RemoteRdmaTier(Tier):
             return
         batch, self._pending = self._pending, []
         nbytes, self._pending_bytes = self._pending_bytes, 0
+        self.cascade.pending_writes -= len(batch)
         area = self._pick_area(nbytes)
         if area is not None and not self._reserve_batch(area, batch):
             # An arena-backed area refused the batch despite the
@@ -356,6 +358,7 @@ class RemoteRdmaTier(Tier):
                 if pending_page.page_id == page_id:
                     self._pending.pop(index)
                     self._pending_bytes -= stored
+                    self.cascade.pending_writes -= 1
                     break
         else:
             target, _stored = meta

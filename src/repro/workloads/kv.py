@@ -14,7 +14,8 @@ transactions.
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat, starmap
+from operator import ge
 
 from repro.mem.compression import CompressibilityProfile
 from repro.workloads.patterns import ZipfSampler
@@ -70,32 +71,43 @@ class KvWorkloadSpec:
         return ZipfSampler(self.keys, self.zipf_alpha, rng,
                            locality_block=min(self.locality_block, self.keys))
 
-    def _draw_ops(self, zipf, count):
-        """``count`` operations from ``zipf``'s stream, in exactly the
-        per-op draw order: the Zipf key draw, then the write coin.
+    def _op_drawer(self, zipf):
+        """A ``draw(count)`` returning ``count`` operations from
+        ``zipf``'s stream, in exactly the per-op draw order: the Zipf
+        key draw, then the write coin.
 
         Inlines :meth:`ZipfSampler.sample
-        <repro.workloads.patterns.ZipfSampler.sample>`; its
-        ``sample_many`` cannot serve here because the coin interleaves.
+        <repro.workloads.patterns.ZipfSampler.sample>`, whose
+        ``sample_many`` cannot serve here because the coin interleaves;
+        the draws and the table walks run in C.  ``firsts`` maps a rank
+        to its key's first page, with one sentinel entry for the rank
+        ``n`` that ``bisect_left`` returns for a draw past the last
+        cumulative weight (``sample`` clamps it to ``n - 1``).
         """
         random = zipf._rng.random
-        search = bisect_left
-        cumulative = zipf._cumulative
-        total = zipf._total
-        top = zipf.n - 1
-        mapping = zipf._mapping or range(zipf.n)
+        cumulative = repeat(zipf._cumulative)
+        scale = zipf._total.__mul__
         pages_per_key = self.pages_per_key
+        firsts = [key * pages_per_key for key in zipf._mapping or range(zipf.n)]
+        firsts.append(firsts[-1])
+        rank_page = firsts.__getitem__
         read_fraction = self.read_fraction
-        return [
-            (mapping[min(search(cumulative, random() * total), top)]
-             * pages_per_key, pages_per_key, random() >= read_fraction)
-            for _ in range(count)
-        ]
+
+        def draw(count):
+            draws = list(starmap(random, repeat((), 2 * count)))
+            return list(zip(
+                map(rank_page, map(bisect_left, cumulative,
+                                   map(scale, draws[0::2]))),
+                repeat(pages_per_key),
+                map(ge, draws[1::2], repeat(read_fraction)),
+            ))
+
+        return draw
 
     def _op_blocks(self, rng):
-        zipf = self._sampler(rng)
+        draw = self._op_drawer(self._sampler(rng))
         while True:
-            yield self._draw_ops(zipf, OPS_BLOCK)
+            yield draw(OPS_BLOCK)
 
     def iter_operations(self, rng):
         """Infinite stream of ``(first_page_id, page_count, is_write)``.
@@ -114,7 +126,7 @@ class KvWorkloadSpec:
         One-shot: every call builds a fresh sampler, so chunked callers
         should keep the iterator from :meth:`iter_operations` instead.
         """
-        return self._draw_ops(self._sampler(rng), count)
+        return self._op_drawer(self._sampler(rng))(count)
 
     def iter_accesses(self, rng):
         """Infinite page-granular stream: each operation expanded to

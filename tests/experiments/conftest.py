@@ -12,12 +12,22 @@ import json
 
 import pytest
 
-from repro.experiments import fig9_memcached_timeline, resilience_recovery
+from repro.experiments import (
+    fig8_distribution_ratio,
+    fig9_memcached_timeline,
+    resilience_recovery,
+)
 from repro.experiments.engine import normalize
 
 #: Scale and seed of the shared KV-runner sweeps.
 KV_SCALE = 0.05
 KV_SEED = 0
+#: The experiments the KV payload-digest golden covers.
+KV_EXPERIMENTS = (
+    fig8_distribution_ratio,
+    fig9_memcached_timeline,
+    resilience_recovery,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -59,8 +69,6 @@ def cell_digests(payloads):
 
 @pytest.fixture(scope="session")
 def kv_payloads():
-    """The :func:`sweep` of fig9 and resilience_recovery at
-    :data:`KV_SCALE`, seed :data:`KV_SEED`."""
-    return sweep(
-        (fig9_memcached_timeline, resilience_recovery), KV_SCALE, KV_SEED
-    )
+    """The :func:`sweep` of :data:`KV_EXPERIMENTS` at :data:`KV_SCALE`,
+    seed :data:`KV_SEED`."""
+    return sweep(KV_EXPERIMENTS, KV_SCALE, KV_SEED)

@@ -7,20 +7,23 @@ when it holds some: otherwise a partial batch would never be shipped.
 
 import importlib
 import pkgutil
+from unittest.mock import patch
 
 import pytest
 
 import repro.swap
 import repro.tiers
 from repro.core import DisaggregatedCluster
-from repro.experiments.runner import default_cluster_config
+from repro.experiments.runner import default_cluster_config, run_kv_workload
 from repro.mem.page import make_pages
 from repro.swap.base import SwapBackend, VirtualMemory
 from repro.swap.fastswap import FastSwap, FastSwapConfig
 from repro.swap.linux_swap import LinuxDiskSwap
 from repro.tiers.base import Tier
+from repro.tiers.cascade import TierCascade
 from repro.tiers.disk import DiskSwapTier
 from repro.tiers.remote import RemoteRdmaTier
+from repro.workloads.kv import KV_WORKLOADS
 
 from tests.swap.conftest import run
 
@@ -83,6 +86,7 @@ def _end_of_op(build, use_settle):
         yield from backend.setup()
         for page in pages[16:19]:
             yield from backend.swap_out(page)
+        assert backend.pending_writes == _drained(backend)
         seen["before"] = (backend.buffered(), _drained(backend))
         yield from mmu.access(pages[0].page_id)
         assert mmu.touch(pages[0].page_id)  # a hit leaves time pending
@@ -92,6 +96,7 @@ def _end_of_op(build, use_settle):
                 yield from mmu.flush()
         else:
             yield from mmu.flush()
+        assert backend.pending_writes == _drained(backend)
         seen["after"] = (backend.buffered(), _drained(backend))
         seen["pending"] = mmu._pending_time
         seen["now"] = cluster.env.now
@@ -131,3 +136,53 @@ def test_settle_is_event_free_when_nothing_is_buffered(cluster, node, pages):
 
     run(cluster, scenario())
     assert seen == [True, True, True, 0.0]
+
+
+def _held(cascade):
+    """Writes the cascade's draining tiers hold, counted from their buffers."""
+    held = 0
+    for tier in cascade._draining_tiers:
+        if isinstance(tier, DiskSwapTier):
+            held += len(tier._pending_write_slots)
+        elif isinstance(tier, RemoteRdmaTier):
+            held += len(tier._pending)
+        else:
+            raise AssertionError("unknown draining tier {}".format(tier.name))
+    return held
+
+
+@pytest.mark.parametrize("backend_name", ["linux", "zswap", "fastswap"])
+def test_the_pending_write_count_is_what_the_tiers_hold(backend_name):
+    # buffered() answers from a count the tiers keep; check it against
+    # their buffers at every op end of a write-heavy KV run.
+    checks = []
+    original = TierCascade.buffered
+
+    def checked(self):
+        checks.append(self.pending_writes == _held(self))
+        return original(self)
+
+    spec = KV_WORKLOADS["voltdb"].with_overrides(keys=256)
+    with patch.object(TierCascade, "buffered", checked):
+        run_kv_workload(backend_name, spec, 0.5, duration=0.05, window=0.01,
+                        fastswap_config=FastSwapConfig(sm_fraction=0.3))
+    assert len(checks) > 100
+    assert all(checks)
+
+
+def test_discarding_a_buffered_page_uncounts_it(cluster, node, pages):
+    backend = _fs_rdma(cluster, node)
+    seen = []
+
+    def scenario():
+        yield from backend.setup()
+        for page in pages[:3]:
+            yield from backend.swap_out(page)
+        seen.append((backend.pending_writes, _drained(backend)))
+        backend.discard(pages[1])
+        seen.append((backend.pending_writes, _drained(backend)))
+        yield from backend.drain()
+        seen.append((backend.pending_writes, backend.buffered()))
+
+    run(cluster, scenario())
+    assert seen == [(3, 3), (2, 2), (0, False)]

@@ -1,6 +1,7 @@
 """Unit tests for the log-bucketed latency histograms."""
 
 import math
+import random
 
 import pytest
 
@@ -162,3 +163,32 @@ def test_histogram_set_merge_and_round_trip():
     assert first.get("fault", "major").total == 1
     clone = HistogramSet.from_json(first.to_json())
     assert clone.rows() == first.rows()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_record_many_is_record_in_order(seed):
+    rng = random.Random(seed)
+    # Magnitudes far apart make the float sum depend on its order.
+    values = [
+        rng.choice((0.0, 1e-8, 1e-7, 2e-7, 3.5e-6, 1.0, 1.0, 1e16))
+        * rng.uniform(0.5, 2.0)
+        for _ in range(500)
+    ]
+    one_by_one = LatencyHistogram(least=1e-7, buckets=32)
+    for value in values:
+        one_by_one.record(value)
+    batched = LatencyHistogram(least=1e-7, buckets=32)
+    grouped = 0.0
+    for start in range(0, len(values), 37):
+        batched.record_many(values[start:start + 37])
+        grouped += sum(values[start:start + 37])
+    batched.record_many([])
+    assert batched.to_json() == one_by_one.to_json()
+    assert grouped != one_by_one.sum  # the data tells the orders apart
+
+
+def test_record_many_rejects_a_negative_and_records_nothing():
+    histogram = LatencyHistogram(least=1e-7, buckets=32)
+    with pytest.raises(ValueError):
+        histogram.record_many([1e-6, -1e-9])
+    assert histogram.to_json() == LatencyHistogram(least=1e-7, buckets=32).to_json()
