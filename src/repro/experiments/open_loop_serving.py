@@ -294,7 +294,6 @@ def compute(spec):
         prefetch_capacity=prefetch,
         fault_schedule=schedule,
         admission=admission,
-        fast_path=spec.fast_path,
     )
     payload = result.to_json()
     payload["arrival"] = options["arrival"]

@@ -18,8 +18,7 @@ scores the outcome against per-class latency SLOs.
   per-class caps, queue-depth load shedding, utilization feedback;
 * :mod:`repro.serve.accountant` — goodput-under-SLO, violation
   fractions, shed accounting, Jain fairness; mergeable across workers;
-* :mod:`repro.serve.driver` — the priority-scheduled serving loop on
-  the two-speed engine.
+* :mod:`repro.serve.driver` — the priority-scheduled serving loop.
 
 See ``docs/SERVING.md`` for the methodology.
 """

@@ -11,10 +11,9 @@ service spans, and is billed separately from SLO violations (see
 :class:`~repro.serve.accountant.ClassAccount`).
 
 Determinism: policies decide from arrival timestamps, queue depths and
-the server's lateness at the drain moment — quantities that are
-byte-identical between the event-engine and flat-path executions (the
-two-speed equivalence contract), so enabling a policy keeps
-``fast_path`` equivalence and serial==parallel reports intact.
+the server's lateness at the drain moment — all pure functions of the
+seeded run — so enabling a policy keeps reruns and serial==parallel
+reports byte-identical.
 
 The built-in policies cover the classic design space:
 

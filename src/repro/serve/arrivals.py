@@ -24,8 +24,9 @@ it with its tenant count.
 
 import math
 from dataclasses import dataclass, replace
-from heapq import merge as _heap_merge
+from itertools import repeat
 from math import log as _log
+from operator import itemgetter
 
 __all__ = [
     "ArrivalProcess",
@@ -364,7 +365,7 @@ def aggregate(mix, rng, duration):
     from repro.sim.rng import derive_seed
 
     per_class = []
-    streams = []
+    merged = []
     for index, entry in enumerate(mix):
         process = _resolve_process(entry)
         modulation = random_module.Random(
@@ -375,14 +376,15 @@ def aggregate(mix, rng, duration):
             modulation,
         )
         per_class.append(len(times))
-        streams.append([(time, index) for time in times])
-    times = []
-    classes = []
-    for time, index in _heap_merge(*streams):
-        times.append(time)
-        classes.append(index)
+        merged.extend(zip(times, repeat(index)))
+    # One C sort of the concatenated class runs.  Each run ascends, so
+    # this is the k-way merge, and whole-tuple order breaks time ties by
+    # class index.
+    merged.sort()
     return ArrivalSchedule(
-        times=times, classes=classes, per_class=tuple(per_class)
+        times=list(map(itemgetter(0), merged)),
+        classes=list(map(itemgetter(1), merged)),
+        per_class=tuple(per_class),
     )
 
 

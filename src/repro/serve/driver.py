@@ -23,38 +23,36 @@ it acquires no service spans — and is billed to the accountant's
 :class:`~repro.serve.admission.NoShed` policy reproduces the
 pre-admission driver exactly.
 
-Two-speed execution
--------------------
+Execution
+---------
 
 The whole schedule is pre-materialized in bulk: class arrival arrays
 are generated and superposed by :func:`repro.serve.arrivals.aggregate`
 (one merged, admission-ordered timeline — no per-request heap pushes),
 and each class's operations are flattened into one
 :class:`~repro.workloads.batch.AccessBatch` plus per-request bounds
-(:func:`~repro.workloads.batch.flatten_requests`).  Arrivals and
-operations draw from *separate* named RNG streams, so the fast and
-event paths consume identical randomness.  Under ``fast_path``, each
-request's page burst runs through
-:meth:`~repro.swap.base.VirtualMemory.run_batch` over its
-``(start, stop)`` slice of the class batch (the flat-path kernel,
-byte-identical by its equivalence contract, with zero per-request
-array allocation).
+(:func:`~repro.workloads.batch.flatten_requests`), so a million-user
+schedule costs no per-request array allocation.  Arrivals and
+operations draw from *separate* named RNG streams.
 
-On both paths, idle waits until the next arrival and the per-request
-pending-time flush move the clock through
+A request runs its ``(start, stop)`` slice of the class batch on the
+event path: :meth:`~repro.swap.base.VirtualMemory.touch` serves a
+resident hit as a plain call and only a miss enters the
+:meth:`~repro.swap.base.VirtualMemory.access` generator.  Its
+completion is stamped after :meth:`~repro.swap.base.VirtualMemory.
+settle` charges the accumulated cheap-path time (completion latency
+must include it); settle falls back to a timeout only when the clock
+cannot move in place.  Idle waits until the next arrival and that
+request-end charge move the clock through
 :meth:`~repro.sim.engine.Environment.advance` instead of a timeout
 whenever that timeout would pop *strictly before* everything already
 on the event heap, within the run's horizon — a strict winner fires
 with nothing able to observe the wait, so adding to the clock is the
 identical float computation.
 
-Admission decisions see only arrival timestamps, queue depths and the
-clock at drain moments — identical on both paths — so shedding
-preserves the equivalence contract.
-
 Everything else — chaos windows, backend retries, fault-driver events
-on the heap — falls back to the ordinary event engine, so serving
-composes with :mod:`repro.faults` unchanged.
+on the heap — runs on the ordinary event engine, so serving composes
+with :mod:`repro.faults` unchanged.
 """
 
 from collections import deque
@@ -67,7 +65,6 @@ from repro.experiments.runner import (
     _collect_backend_stats,
     _collect_latency_stats,
     _collect_tier_stats,
-    _fallback_windows,
     _install_faults,
     _resolve_context,
     register_result_kind,
@@ -117,8 +114,6 @@ class ServingRunResult(RunResult):
     latency_stats: list = field(default_factory=list)
     #: The RunContext this run recorded into (not serialized).
     context: RunContext = field(default=None, repr=False, compare=False)
-    #: Whether the run drove the flat-path kernel (not serialized).
-    fast_path: bool = field(default=False, compare=False)
 
     kind = "serving"
 
@@ -137,8 +132,7 @@ class ServingRunResult(RunResult):
 def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
                          seed=0, cluster_config=None, fastswap_config=None,
                          slabs_per_target=24, prefetch_capacity=None,
-                         fault_schedule=None, admission=None, context=None,
-                         fast_path=False):
+                         fault_schedule=None, admission=None, context=None):
     """Serve ``mix`` (a list of TenantClassSpecs) open-loop.
 
     All classes contend for one store: the page space is the largest
@@ -182,7 +176,6 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
         cpu=cluster_config.calibration.cpu,
         compute_per_access=store.compute_per_op,
         prefetch_capacity=prefetch_capacity,
-        fallback_windows=_fallback_windows(fault_schedule),
     )
     if hasattr(backend, "bind_page_table"):
         backend.bind_page_table(mmu.pages, mmu.stats)
@@ -283,19 +276,17 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
                              tenant_class=ready, request=ordinal)
                 if tracer.enabled else None
             )
-            if fast_path:
-                yield from mmu.run_batch(batches[ready], start, stop)
-            else:
-                addresses = batches[ready].addresses
-                writes = batches[ready].writes
-                for offset in range(start, stop):
-                    if not mmu.touch(addresses[offset], writes[offset]):
-                        yield from mmu.access(addresses[offset],
-                                              writes[offset])
+            addresses = batches[ready].addresses
+            writes = batches[ready].writes
+            for offset in range(start, stop):
+                if not mmu.touch(addresses[offset], writes[offset]):
+                    yield from mmu.access(addresses[offset], writes[offset])
             # Charge the accumulated cheap-path time now: completion
-            # latency must include it (the event path's lazy
-            # accumulation is an accounting trick, not a time machine).
-            yield from mmu._flush_pending()
+            # latency must include it.  When settle returns False only
+            # because the backend holds buffered writes, the pending
+            # time is already charged and the flush below is a no-op.
+            if not mmu.settle():
+                yield from mmu._flush_pending()
             if span is not None:
                 tracer.end(span, accesses=stop - start)
             accounts[ready].record_completion(env.now - arrival)
@@ -334,7 +325,6 @@ def run_serving_workload(backend_name, mix, fit_fraction, *, duration=2.0,
         tier_stack=tier_stack,
         latency_stats=_collect_latency_stats(cluster),
         context=context,
-        fast_path=fast_path,
     )
     context.record(result)
     return result

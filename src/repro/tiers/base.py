@@ -118,16 +118,14 @@ class Tier:
         yield  # pragma: no cover
 
     def drain(self):
-        """Generator: flush buffered writes (end-of-run barrier)."""
+        """Generator: flush buffered writes (end-of-run barrier).
+
+        A tier that overrides this adds each write it buffers to
+        ``cascade.pending_writes`` and takes it off again when flushed
+        or forgotten: that count is the cascade's O(1) ``buffered``.
+        """
         return
         yield  # pragma: no cover
-
-    def buffered(self):
-        """True while :meth:`drain` has writes to flush; a tier that
-        overrides ``drain`` overrides this too, and adds each write it
-        buffers to ``cascade.pending_writes`` and takes it off again
-        when flushed or forgotten (the cascade's O(1) ``buffered``)."""
-        return False
 
     # -- data path -----------------------------------------------------------
 

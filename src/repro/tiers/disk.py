@@ -98,9 +98,6 @@ class DiskSwapTier(Tier):
         if self._pending_write_slots:
             yield from self._submit_writeback()
 
-    def buffered(self):
-        return bool(self._pending_write_slots)
-
     def _submit_writeback(self):
         slots, self._pending_write_slots = self._pending_write_slots, []
         self.cascade.pending_writes -= len(slots)

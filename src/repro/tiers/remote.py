@@ -369,6 +369,3 @@ class RemoteRdmaTier(Tier):
     def drain(self):
         """Generator: flush any partially filled remote batch."""
         yield from self._flush_batch()
-
-    def buffered(self):
-        return bool(self._pending)

