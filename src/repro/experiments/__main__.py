@@ -31,9 +31,6 @@ import sys
 from repro.experiments import engine, registry
 from repro.metrics.reporting import format_table
 
-#: Back-compat alias (old callers imported EXPERIMENTS from here).
-EXPERIMENTS = registry.EXPERIMENTS
-
 
 def _list():
     rows = [

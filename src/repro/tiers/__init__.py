@@ -15,7 +15,8 @@ the swap backends:
   compression / failover policies;
 * concrete tiers wrapping the existing primitives: shared pool,
   batched RDMA remote memory (+PBS), kernel disk swap, batch spill
-  (SSD/HDD), NVM, and a zswap-style compressed pool.
+  (SSD/HDD), NVM, a zswap-style compressed pool, and the replicated
+  and erasure-coded remote tiers on one redundant-tier base.
 
 Every backend in :mod:`repro.swap` is a declarative cascade built from
 these parts (see :func:`repro.swap.factory.make_swap_backend`).
@@ -36,12 +37,13 @@ from repro.tiers.cascade import (
 )
 from repro.tiers.compressed import CompressedPoolTier, CompressionLayer
 from repro.tiers.disk import BatchSpillTier, DiskSwapTier
-from repro.tiers.erasure import ErasureCodedRemoteTier, StripeCodec, StripeMap
+from repro.tiers.erasure import ErasureCodedRemoteTier, StripeCodec
 from repro.tiers.nvm import NvmTier
 from repro.tiers.pbs import PbsController
+from repro.tiers.redundant import PlacementMap, RedundantRemoteTier
 from repro.tiers.remote import RemoteArea, RemoteRdmaTier
 from repro.tiers.remote_block import DiskBackupTier, RemoteBlockTier
-from repro.tiers.replicated import ReplicaMap, ReplicatedRemoteTier
+from repro.tiers.replicated import ReplicatedRemoteTier
 from repro.tiers.shared_pool import SharedPoolTier
 
 __all__ = [
@@ -62,15 +64,15 @@ __all__ = [
     "FixedRatioPlacement",
     "NvmTier",
     "PbsController",
+    "PlacementMap",
+    "RedundantRemoteTier",
     "RemoteArea",
     "RemoteBlockTier",
     "RemoteRdmaTier",
-    "ReplicaMap",
     "ReplicatedRemoteTier",
     "SharedPoolTier",
     "SpillDownFailover",
     "StripeCodec",
-    "StripeMap",
     "Tier",
     "TierCascade",
     "TierFull",

@@ -8,16 +8,13 @@ fragments, ``m`` parity fragments are computed over them, and the
 scheme rides out ``m`` concurrent node losses at ``n / k`` memory
 overhead (1.5x for the default 4+2) instead of ``r``x.
 
-Three cooperating pieces:
+Two pieces, on the placement map and failure/recovery skeleton of
+:class:`~repro.tiers.redundant.RedundantRemoteTier`:
 
 * :class:`StripeCodec` — the pure math: a systematic Reed-Solomon code
   over GF(256) built from a Vandermonde matrix (``m = 1`` degenerates
   to plain XOR parity).  Real bytes in, real bytes out — the property
   tests drive it with random payloads and arbitrary surviving subsets.
-* :class:`StripeMap` — pure fragment bookkeeping (page -> fragment
-  holders, node -> fragments, crash/repair transitions), separated so
-  hypothesis can drive it through failure schedules without a
-  simulator, mirroring :class:`~repro.tiers.replicated.ReplicaMap`.
 * :class:`ErasureCodedRemoteTier` — the cascade tier: striped puts
   (one ``ec.encode`` span charging codec CPU, then a parallel fragment
   fan-out committed all-or-spill), reads served from the ``k`` data
@@ -28,13 +25,10 @@ Three cooperating pieces:
   reconstruction invariants.
 """
 
-from repro.hw.latency import GiB, PAGE_SIZE
-from repro.metrics.recovery import RecoveryTracker
+from repro.hw.latency import GiB
 from repro.net.errors import NetworkError
 from repro.net.rdma import RemoteAccessError
-from repro.net.retry import RetryPolicy
-from repro.tiers.base import DisplacedPage, Tier, TierFull
-from repro.tiers.remote import reserve_area
+from repro.tiers.redundant import PlacementMap, RedundantRemoteTier
 
 _TRANSIENT = (NetworkError, RemoteAccessError)
 
@@ -214,129 +208,17 @@ class StripeCodec:
         return self.encode(data)[index]
 
 
-class StripeMap:
-    """Pure stripe bookkeeping: which node holds which fragment.
-
-    The invariants the property tests pin: every fragment index of a
-    page has at most one holder, a page's fragments live on distinct
-    nodes, and a page leaves the map only when fewer than
-    ``data_shards`` fragments survive (:meth:`drop_node` reports it as
-    lost) or it is removed outright.
-    """
-
-    def __init__(self, data_shards, parity_shards):
-        if data_shards < 1 or parity_shards < 1:
-            raise ValueError("shard counts must be >= 1")
-        self.data_shards = data_shards
-        self.parity_shards = parity_shards
-        self.total_shards = data_shards + parity_shards
-        self._fragments = {}  # page_id -> {fragment index: node_id}
-        self._by_node = {}  # node_id -> set of (page_id, index)
-
-    def __len__(self):
-        return len(self._fragments)
-
-    def __contains__(self, page_id):
-        return page_id in self._fragments
-
-    def fragments(self, page_id):
-        return dict(self._fragments.get(page_id, ()))
-
-    def holders(self, page_id):
-        return sorted(set(self._fragments.get(page_id, {}).values()))
-
-    def pages_on(self, node_id):
-        return sorted({
-            page_id for page_id, _index in self._by_node.get(node_id, ())
-        })
-
-    def missing(self, page_id):
-        held = self._fragments.get(page_id)
-        if held is None:
-            return []
-        return [index for index in range(self.total_shards)
-                if index not in held]
-
-    def place(self, page_id, holders):
-        """Record a full stripe: ``holders[i]`` gets fragment ``i``."""
-        holders = tuple(holders)
-        if len(holders) != self.total_shards:
-            raise ValueError(
-                "a stripe needs {} holders, got {}".format(
-                    self.total_shards, len(holders)
-                )
-            )
-        if len(set(holders)) != len(holders):
-            raise ValueError("stripe holders must be distinct nodes")
-        self.remove_page(page_id)
-        self._fragments[page_id] = dict(enumerate(holders))
-        for index, node_id in enumerate(holders):
-            self._by_node.setdefault(node_id, set()).add((page_id, index))
-
-    def set_fragment(self, page_id, index, node_id):
-        """A reconstruction rebuilt fragment ``index`` onto ``node_id``."""
-        held = self._fragments.get(page_id)
-        if held is None or not 0 <= index < self.total_shards:
-            return False
-        if index in held or node_id in held.values():
-            return False  # never duplicate a fragment or double-load a node
-        held[index] = node_id
-        self._by_node.setdefault(node_id, set()).add((page_id, index))
-        return True
-
-    def remove_page(self, page_id):
-        for index, node_id in self._fragments.pop(page_id, {}).items():
-            entries = self._by_node.get(node_id)
-            if entries is not None:
-                entries.discard((page_id, index))
-
-    def drop_node(self, node_id):
-        """A holder died; returns ``(degraded, lost)`` page-id lists.
-
-        Degraded pages lost fragments but keep at least ``data_shards``
-        and should be re-striped; lost pages fell below the threshold
-        and leave the map entirely.
-        """
-        degraded, lost = [], []
-        for page_id, index in sorted(self._by_node.pop(node_id, ())):
-            held = self._fragments[page_id]
-            del held[index]
-            if len(held) >= self.data_shards:
-                if not degraded or degraded[-1] != page_id:
-                    degraded.append(page_id)
-            else:
-                self.remove_page(page_id)
-                lost.append(page_id)
-        return degraded, lost
-
-    def under_striped(self):
-        """Page ids currently missing at least one fragment."""
-        return sorted(
-            page_id
-            for page_id, held in self._fragments.items()
-            if len(held) < self.total_shards
-        )
-
-
-class ErasureCodedRemoteTier(Tier):
+class ErasureCodedRemoteTier(RedundantRemoteTier):
     """k-of-n striping over peer-donated slab areas."""
 
     name = "erasure"
 
-    #: Per-page software cost on the remote path (work-request build +
-    #: completion handling), charged once per operation.
-    REMOTE_PER_PAGE_OVERHEAD = 1.2e-6
+    PROCESS_PREFIX = "ec-"
 
     #: Codec throughput per core: parity generation is XOR-heavy table
     #: lookups, decoding adds the matrix inversion.
     ENCODE_BANDWIDTH = 4.0 * GiB
     DECODE_BANDWIDTH = 2.5 * GiB
-
-    #: Backoff applied while waiting for a recovered peer to finish
-    #: re-registering its pools before re-admitting it as a target.
-    READMIT_POLICY = RetryPolicy(
-        max_attempts=6, base_delay=1e-4, multiplier=4.0, max_delay=0.05
-    )
 
     def __init__(
         self,
@@ -349,31 +231,18 @@ class ErasureCodedRemoteTier(Tier):
         rng=None,
         tracker=None,
     ):
-        super().__init__()
-        self.node = node
-        self.env = node.env
-        self.directory = directory
         self.codec = StripeCodec(data_shards, parity_shards)
-        self.map = StripeMap(data_shards, parity_shards)
-        self.slabs_per_target = slabs_per_target
-        self.reserve_tag = reserve_tag
-        self._rng = rng
-        self.tracker = tracker or RecoveryTracker()
-        self.tracker.clock = lambda: self.env.now
-        self.areas = {}  # node_id -> RemoteArea
-        self._listening = False
-        self._repairs = []
+        super().__init__(
+            node, directory, PlacementMap(data_shards, parity_shards),
+            slabs_per_target, reserve_tag, rng, tracker,
+        )
         # Memory-overhead accounting: physical fragment bytes written
         # per logical byte stored (placement traffic, monotonic).
         self.logical_put_bytes = 0
         self.physical_put_bytes = 0
-        # Counters for reports and tests.
-        self.reads = 0
         self._read_seq = 0
         self.degraded_reconstructions = 0
         self.fragments_rebuilt = 0
-        self.fallback_reads = 0
-        self.rebuilds = 0
 
     @property
     def data_shards(self):
@@ -399,19 +268,13 @@ class ErasureCodedRemoteTier(Tier):
     def _decode_time(self, nbytes):
         return nbytes / self.DECODE_BANDWIDTH
 
-    # -- setup ---------------------------------------------------------------
-
-    def setup(self):
-        """Generator: reserve areas on live peers, hook failure events."""
-        injector = getattr(self.directory, "injector", None)
-        if injector is not None and not self._listening:
-            injector.on_crash(self._on_node_crash)
-            injector.on_recover(self._on_node_recover)
-            self._listening = True
-        for peer in self.directory.peers_of(self.node.node_id):
-            if self.directory.is_down(peer):
-                continue
-            yield from reserve_area(self, peer)
+    def _live_fragments(self, fragments):
+        """``[(index, holder)]`` of the fragments on live nodes."""
+        return sorted(
+            (index, holder)
+            for index, holder in fragments.items()
+            if not self.directory.is_down(holder)
+        )
 
     # -- swap-out path (stripe fan-out) --------------------------------------
 
@@ -419,12 +282,6 @@ class ErasureCodedRemoteTier(Tier):
         """Generator: encode, fan ``n`` fragments out, commit or spill."""
         frag = self._fragment_size(nbytes)
         targets = self._select_targets(frag)
-        if targets is None:
-            raise TierFull(
-                "{}: fewer than {} live areas with {} free bytes".format(
-                    self.name, self.codec.total_shards, frag
-                )
-            )
         if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
             yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
         tracer = self.env.tracer
@@ -447,20 +304,12 @@ class ErasureCodedRemoteTier(Tier):
             key=page.page_id,
         )
         if len(winners) < len(targets):
-            # Partial failure: roll back, never commit an under-striped
-            # page (a short stripe silently weakens the fault budget).
-            for target in winners:
-                area = self.areas.get(target)
-                if area is not None:
-                    area.release(page.page_id)
-            self.stats.failovers.increment()
-            if not self.cascade.failover.spill_on_failure:
-                raise RemoteAccessError(
-                    "stripe write reached {}/{} targets".format(
-                        len(winners), len(targets)
-                    )
-                )
-            yield from self.cascade.place(page, nbytes, self.index + 1)
+            yield from self._spill(
+                page, nbytes, winners,
+                "stripe write reached {}/{} targets".format(
+                    len(winners), len(targets)
+                ),
+            )
             return
         self.map.place(page.page_id, targets)
         self.cascade.record(page.page_id, self.name, nbytes)
@@ -468,20 +317,6 @@ class ErasureCodedRemoteTier(Tier):
         self.stats.bytes_in.increment(frag * len(targets))
         self.logical_put_bytes += nbytes
         self.physical_put_bytes += frag * len(targets)
-
-    def _select_targets(self, frag):
-        live = sorted(
-            (
-                area
-                for area in self.areas.values()
-                if area.can_fit(frag)
-                and not self.directory.is_down(area.node_id)
-            ),
-            key=lambda area: (-area.free_bytes, area.node_id),
-        )
-        if len(live) < self.codec.total_shards:
-            return None
-        return [area.node_id for area in live[: self.codec.total_shards]]
 
     # -- swap-in path --------------------------------------------------------
 
@@ -523,16 +358,10 @@ class ErasureCodedRemoteTier(Tier):
             if not served:
                 # Fewer than k fragments survive (or the degraded read
                 # itself failed): the degraded disk-backup path.
-                self.stats.failovers.increment()
-                if not self.cascade.failover.spill_on_failure:
-                    raise RemoteAccessError(
-                        "fewer than {} live fragments for page {}".format(
-                            self.codec.data_shards, page.page_id
-                        )
+                yield from self._read_backup(
+                    "fewer than {} live fragments for page {}".format(
+                        self.codec.data_shards, page.page_id
                     )
-                self.fallback_reads += 1
-                yield from self.node.hdd.read(
-                    self.node.alloc_disk_span(0), PAGE_SIZE
                 )
                 return []
         yield from self.cascade.decompress(page)
@@ -542,11 +371,7 @@ class ErasureCodedRemoteTier(Tier):
 
     def _degraded_read(self, page, stored, frag, fragments):
         """Generator: reconstruct from any ``k`` survivors; True if served."""
-        live = sorted(
-            (index, holder)
-            for index, holder in fragments.items()
-            if not self.directory.is_down(holder)
-        )
+        live = self._live_fragments(fragments)
         if len(live) < self.codec.data_shards:
             return False
         chosen = live[: self.codec.data_shards]
@@ -592,40 +417,9 @@ class ErasureCodedRemoteTier(Tier):
                 "fragment read for page {} failed".format(page_id)
             )
 
-    # -- failure handling ----------------------------------------------------
+    # -- failure and recovery handling ---------------------------------------
 
-    def _on_node_crash(self, node_id):
-        area = self.areas.pop(node_id, None)
-        degraded, lost = self.map.drop_node(node_id)
-        if area is None and not degraded and not lost:
-            return
-        self.tracker.begin_repair(node_id)
-        if lost:
-            self._record_lost(lost)
-        self._repairs.append(
-            self.env.process(
-                self._reconstruct(node_id, degraded),
-                name="ec-repair:" + node_id,
-            )
-        )
-
-    def _record_lost(self, page_ids):
-        self.tracker.pages_lost.increment(len(page_ids))
-        if self.cascade is not None and self.cascade.failover.rebuild_on_failure:
-            self._repairs.append(
-                self.env.process(
-                    self._rebuild(page_ids),
-                    name="ec-rebuild:{}".format(len(page_ids)),
-                )
-            )
-
-    def _reconstruct(self, victim, page_ids):
-        """Generator: background re-striping of the victim's fragments."""
-        for page_id in page_ids:
-            yield from self._restripe_page(victim, page_id)
-        self.tracker.complete_repair(victim)
-
-    def _restripe_page(self, victim, page_id, target=None):
+    def _repair_page(self, victim, page_id, target=None):
         """Generator: rebuild missing fragments of one page.
 
         With ``target=None`` (crash repair) every missing fragment goes
@@ -640,11 +434,7 @@ class ErasureCodedRemoteTier(Tier):
         frag = self._fragment_size(stored)
         for index in self.map.missing(page_id):
             fragments = self.map.fragments(page_id)
-            live = sorted(
-                (held_index, holder)
-                for held_index, holder in fragments.items()
-                if not self.directory.is_down(holder)
-            )
+            live = self._live_fragments(fragments)
             if len(live) < self.codec.data_shards:
                 return  # not reconstructible until a holder returns
             if target is None:
@@ -710,98 +500,28 @@ class ErasureCodedRemoteTier(Tier):
             if target is not None:
                 return  # one fragment per readmitted node per page
 
-    def _rebuild(self, page_ids):
-        """Generator: re-place wholly lost pages below, from the backup."""
-        for page_id in page_ids:
-            label, meta = self.cascade.location(page_id)
-            if label != self.name:
-                continue
-            stored = meta
-            yield from self.node.hdd.read(self.node.alloc_disk_span(0), PAGE_SIZE)
-            yield from self.cascade.place(
-                DisplacedPage(page_id, stored), stored, self.index + 1
-            )
-            self.rebuilds += 1
-
-    def _pick_spare(self, frag, exclude=()):
-        exclude = set(exclude)
-        live = sorted(
-            (
-                area
-                for area in self.areas.values()
-                if area.node_id not in exclude
-                and area.can_fit(frag)
-                and not self.directory.is_down(area.node_id)
-            ),
-            key=lambda area: (-area.free_bytes, area.node_id),
-        )
-        return live[0].node_id if live else None
-
-    # -- recovery handling ---------------------------------------------------
-
-    def _on_node_recover(self, node_id):
-        if node_id == self.node.node_id or node_id in self.areas:
-            return
-        if node_id not in self.directory.peers_of(self.node.node_id):
-            return
-        self._repairs.append(
-            self.env.process(
-                self._readmit(node_id), name="ec-readmit:" + node_id
-            )
-        )
-
-    def _readmit(self, node_id):
-        """Generator: re-reserve an area on a recovered peer, with backoff,
-        then re-stripe under-striped pages onto it."""
-        policy = self.READMIT_POLICY
-        for attempt in range(1, policy.max_attempts + 1):
-            if self.directory.is_down(node_id):
-                return
-            admitted = yield from reserve_area(self, node_id)
-            if admitted:
-                self.tracker.nodes_recovered.increment()
-                yield from self._top_up_stripes(node_id)
-                return
-            if attempt < policy.max_attempts:
-                yield self.env.timeout(policy.delay(attempt, self._rng))
-
-    def _top_up_stripes(self, node_id):
+    def _top_up(self, node_id):
         """Generator: rebuild missing fragments onto the returned peer."""
-        for page_id in self.map.under_striped():
+        for page_id in self.map.incomplete():
             if (
                 self.areas.get(node_id) is None
                 or self.directory.is_down(node_id)
             ):
                 return
-            yield from self._restripe_page(node_id, page_id, target=node_id)
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def forget(self, page_id, label, meta):
-        held = self.map.fragments(page_id)
-        for _index, holder in held.items():
-            area = self.areas.get(holder)
-            if area is not None:
-                area.release(page_id)
-        self.map.remove_page(page_id)
+            yield from self._repair_page(node_id, page_id, target=node_id)
 
     # -- reporting -----------------------------------------------------------
 
-    def snapshot(self):
-        row = self.stats.row()
-        row.update(self.tracker.snapshot())
-        row.update(
-            {
-                "scheme": "ec({}+{})".format(
-                    self.codec.data_shards, self.codec.parity_shards
-                ),
-                "data_shards": self.codec.data_shards,
-                "parity_shards": self.codec.parity_shards,
-                "replication": None,
-                "overhead_x": self.overhead_x,
-                "degraded_reconstructions": self.degraded_reconstructions,
-                "fragments_rebuilt": self.fragments_rebuilt,
-                "rebuilds": self.rebuilds,
-            }
-        )
-        return row
+    def _scheme_columns(self):
+        return {
+            "scheme": "ec({}+{})".format(
+                self.codec.data_shards, self.codec.parity_shards
+            ),
+            "data_shards": self.codec.data_shards,
+            "parity_shards": self.codec.parity_shards,
+            "replication": None,
+            "overhead_x": self.overhead_x,
+            "degraded_reconstructions": self.degraded_reconstructions,
+            "fragments_rebuilt": self.fragments_rebuilt,
+            "rebuilds": self.rebuilds,
+        }

@@ -30,120 +30,23 @@ each target compares in place, so a stale earlier incarnation of the
 page is detected and superseded with no extra round and no rollback
 (a round that cannot reach every target delivers nothing and spills).
 
-:class:`ReplicaMap` is the pure bookkeeping core (page -> holders,
-holder -> pages, failure/repair transitions) — separated so the
-property tests can drive it through arbitrary failure schedules
-without a simulator in the loop.
+The placement map, crash repair, loss accounting and readmission live
+in :class:`~repro.tiers.redundant.RedundantRemoteTier`: a replica set is
+a ``k = 1`` placement whose ``r`` copies are its fragments.
 """
 
-from repro.hw.latency import PAGE_SIZE
-from repro.metrics.recovery import RecoveryTracker
 from repro.net.errors import NetworkError
 from repro.net.rdma import RemoteAccessError
-from repro.net.retry import RetryPolicy, retrying
-from repro.tiers.base import DisplacedPage, Tier, TierFull
-from repro.tiers.remote import reserve_area
+from repro.net.retry import retrying
+from repro.tiers.redundant import PlacementMap, RedundantRemoteTier
 
 _TRANSIENT = (NetworkError, RemoteAccessError)
 
 
-class ReplicaMap:
-    """Pure replica bookkeeping: which nodes hold which page.
-
-    All mutation goes through four transitions — :meth:`place`,
-    :meth:`add_holder`, :meth:`remove_page` and :meth:`drop_node` — so
-    the invariant "a page is lost only when its last holder drops" is
-    enforced in one small, simulator-free class.
-    """
-
-    def __init__(self, factor):
-        if factor < 1:
-            raise ValueError("replication factor must be >= 1")
-        self.factor = factor
-        self._holders = {}  # page_id -> tuple of node ids
-        self._by_node = {}  # node_id -> set of page_ids
-
-    def __len__(self):
-        return len(self._holders)
-
-    def __contains__(self, page_id):
-        return page_id in self._holders
-
-    def holders(self, page_id):
-        return self._holders.get(page_id, ())
-
-    def pages_on(self, node_id):
-        return sorted(self._by_node.get(node_id, ()))
-
-    def place(self, page_id, holders):
-        """Record a fresh placement (replaces any previous holders)."""
-        holders = tuple(dict.fromkeys(holders))
-        if not holders:
-            raise ValueError("a placement needs at least one holder")
-        self.remove_page(page_id)
-        self._holders[page_id] = holders
-        for node_id in holders:
-            self._by_node.setdefault(node_id, set()).add(page_id)
-
-    def add_holder(self, page_id, node_id):
-        """A repair copied ``page_id`` onto ``node_id``."""
-        current = self._holders.get(page_id)
-        if current is None or node_id in current:
-            return
-        self._holders[page_id] = current + (node_id,)
-        self._by_node.setdefault(node_id, set()).add(page_id)
-
-    def remove_page(self, page_id):
-        """The page was discarded or moved out of the tier."""
-        for node_id in self._holders.pop(page_id, ()):
-            pages = self._by_node.get(node_id)
-            if pages is not None:
-                pages.discard(page_id)
-
-    def drop_node(self, node_id):
-        """A holder died; returns ``(orphans, lost)`` page-id lists.
-
-        Orphans keep at least one live holder and should be
-        re-replicated; lost pages had their last copy on the victim and
-        leave the map entirely.
-        """
-        orphans, lost = [], []
-        for page_id in sorted(self._by_node.pop(node_id, ())):
-            remaining = tuple(
-                holder for holder in self._holders[page_id] if holder != node_id
-            )
-            if remaining:
-                self._holders[page_id] = remaining
-                orphans.append(page_id)
-            else:
-                del self._holders[page_id]
-                lost.append(page_id)
-        return orphans, lost
-
-    def under_replicated(self, factor=None):
-        """Page ids currently holding fewer than ``factor`` copies."""
-        factor = self.factor if factor is None else factor
-        return sorted(
-            page_id
-            for page_id, holders in self._holders.items()
-            if len(holders) < factor
-        )
-
-
-class ReplicatedRemoteTier(Tier):
+class ReplicatedRemoteTier(RedundantRemoteTier):
     """Write-all / read-one replication over peer-donated slab areas."""
 
     name = "replicated"
-
-    #: Per-page software cost on the remote path (work-request build +
-    #: completion handling), charged once per operation.
-    REMOTE_PER_PAGE_OVERHEAD = 1.2e-6
-
-    #: Backoff applied while waiting for a recovered peer to finish
-    #: re-registering its pools before re-admitting it as a target.
-    READMIT_POLICY = RetryPolicy(
-        max_attempts=6, base_delay=1e-4, multiplier=4.0, max_delay=0.05
-    )
 
     #: Largest merged transfer a readmission top-up batch issues (stays
     #: within one slab's worth of any receive region).
@@ -164,7 +67,6 @@ class ReplicatedRemoteTier(Tier):
         tracker=None,
         write_protocol="write-all",
     ):
-        super().__init__()
         if replication < 1:
             raise ValueError("replication must be >= 1")
         if write_protocol not in self.WRITE_PROTOCOLS:
@@ -173,34 +75,22 @@ class ReplicatedRemoteTier(Tier):
                     write_protocol, ", ".join(self.WRITE_PROTOCOLS)
                 )
             )
-        self.node = node
-        self.env = node.env
-        self.directory = directory
+        super().__init__(
+            node, directory, PlacementMap(1, replication - 1),
+            slabs_per_target, reserve_tag, rng, tracker,
+        )
         self.replication = replication
-        self.slabs_per_target = slabs_per_target
-        self.reserve_tag = reserve_tag
         #: Optional :class:`~repro.net.retry.RetryPolicy` on the read
         #: path (transient errors retried before the next replica).
         self.retry = retry
-        self._rng = rng
-        self.tracker = tracker or RecoveryTracker()
-        self.tracker.clock = lambda: self.env.now
-        self.map = ReplicaMap(replication)
-        self.areas = {}  # node_id -> RemoteArea
         self.write_protocol = write_protocol
-        self._listening = False
-        self._repairs = []
         #: Version tags for the one-RTT in-place conflict check: each
         #: fan-out round stamps its targets with a fresh tag; finding a
         #: tag from an earlier incarnation of the page is a detected
         #: (and superseded) conflict.
         self._versions = {}
         self._version_counter = 0
-        # Counters for reports and tests.
-        self.reads = 0
         self.replica_fallbacks = 0
-        self.fallback_reads = 0
-        self.rebuilds = 0
         #: Fabric rounds spent by committed puts: ``write-all`` pays
         #: one serialized TX-lane round per copy, ``one-rtt`` exactly
         #: one fan-out round per put.
@@ -210,16 +100,9 @@ class ReplicatedRemoteTier(Tier):
     # -- setup ---------------------------------------------------------------
 
     def setup(self):
-        """Generator: reserve areas on live peers, hook failure events."""
-        injector = getattr(self.directory, "injector", None)
-        if injector is not None and not self._listening:
-            injector.on_crash(self._on_node_crash)
-            injector.on_recover(self._on_node_recover)
-            self._listening = True
-        for peer in self.directory.peers_of(self.node.node_id):
-            if self.directory.is_down(peer):
-                continue
-            yield from reserve_area(self, peer)
+        """Generator: reserve areas and hook failure events; the one-RTT
+        protocol also connects to every admitted peer."""
+        yield from super().setup()
         if self.write_protocol == "one-rtt":
             # The one-RTT protocol pays connection setup here, once,
             # so a put is a single fan-out round on the data plane.
@@ -239,12 +122,6 @@ class ReplicatedRemoteTier(Tier):
             yield from self._put_one_rtt(page, nbytes)
             return
         targets = self._select_targets(nbytes)
-        if targets is None:
-            raise TierFull(
-                "{}: fewer than {} live areas with {} free bytes".format(
-                    self.name, self.replication, nbytes
-                )
-            )
         if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
             yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
         winners = yield from self._gather(
@@ -252,19 +129,12 @@ class ReplicatedRemoteTier(Tier):
             key=page.page_id,
         )
         if len(winners) < len(targets):
-            # Partial failure: roll back, never commit under-replicated.
-            for target in winners:
-                area = self.areas.get(target)
-                if area is not None:
-                    area.release(page.page_id)
-            self.stats.failovers.increment()
-            if not self.cascade.failover.spill_on_failure:
-                raise RemoteAccessError(
-                    "replica write reached {}/{} targets".format(
-                        len(winners), len(targets)
-                    )
-                )
-            yield from self.cascade.place(page, nbytes, self.index + 1)
+            yield from self._spill(
+                page, nbytes, winners,
+                "replica write reached {}/{} targets".format(
+                    len(winners), len(targets)
+                ),
+            )
             return
         self.map.place(page.page_id, targets)
         self.cascade.record(page.page_id, self.name, nbytes)
@@ -281,48 +151,31 @@ class ReplicatedRemoteTier(Tier):
         are detected in place via the version tag the round carries.
         """
         targets = self._select_targets(nbytes)
-        if targets is None:
-            raise TierFull(
-                "{}: fewer than {} live areas with {} free bytes".format(
-                    self.name, self.replication, nbytes
-                )
-            )
         if not self.env.advance(self.REMOTE_PER_PAGE_OVERHEAD):
             yield self.env.timeout(self.REMOTE_PER_PAGE_OVERHEAD)
         try:
             yield from self._fanout_write(targets, nbytes)
         except _TRANSIENT:
-            self.stats.failovers.increment()
-            if not self.cascade.failover.spill_on_failure:
-                raise RemoteAccessError(
-                    "one-RTT replica round to {} failed".format(targets)
-                )
-            yield from self.cascade.place(page, nbytes, self.index + 1)
+            yield from self._spill(
+                page, nbytes, (),
+                "one-RTT replica round to {} failed".format(targets),
+            )
             return
         reserved = []
-        refused = False
         for target in targets:
             area = self.areas.get(target)
             if area is None:
                 continue
-            if area.reserve(page.page_id, nbytes):
-                reserved.append(area)
-            else:
+            if not area.reserve(page.page_id, nbytes):
                 # Arena-only: a fragmented target could not place the
                 # copy.  The round delivers to all or none, so undo the
                 # reservations and spill (uniform areas never refuse).
-                refused = True
-                break
-        if refused:
-            for area in reserved:
-                area.release(page.page_id)
-            self.stats.failovers.increment()
-            if not self.cascade.failover.spill_on_failure:
-                raise RemoteAccessError(
-                    "one-RTT replica round to {} refused".format(targets)
+                yield from self._spill(
+                    page, nbytes, reserved,
+                    "one-RTT replica round to {} refused".format(targets),
                 )
-            yield from self.cascade.place(page, nbytes, self.index + 1)
-            return
+                return
+            reserved.append(target)
         if page.page_id in self._versions:
             # A target still held the tag of an earlier incarnation of
             # this page: detected by the in-place comparison, counted,
@@ -346,20 +199,6 @@ class ReplicatedRemoteTier(Tier):
         if not self.env.advance(overhead):
             yield self.env.timeout(overhead)
         yield from fabric.fanout(self.node.node_id, targets, nbytes)
-
-    def _select_targets(self, nbytes):
-        live = sorted(
-            (
-                area
-                for area in self.areas.values()
-                if area.can_fit(nbytes)
-                and not self.directory.is_down(area.node_id)
-            ),
-            key=lambda area: (-area.free_bytes, area.node_id),
-        )
-        if len(live) < self.replication:
-            return None
-        return [area.node_id for area in live[: self.replication]]
 
     # -- swap-in path (read-one) ---------------------------------------------
 
@@ -386,15 +225,11 @@ class ReplicatedRemoteTier(Tier):
             self.stats.bytes_out.increment(stored)
             return []
         # Every replica is gone or unreachable: the degraded path.
-        self.stats.failovers.increment()
-        if not self.cascade.failover.spill_on_failure:
-            raise RemoteAccessError(
-                "no live replica for page {}".format(page.page_id)
-            )
-        self.tracker.degraded_reads.increment()
-        self.fallback_reads += 1
         began = self.env.now
-        yield from self.node.hdd.read(self.node.alloc_disk_span(0), PAGE_SIZE)
+        yield from self._read_backup(
+            "no live replica for page {}".format(page.page_id)
+        )
+        self.tracker.degraded_reads.increment()
         tracer = self.env.tracer
         if tracer.enabled:
             tracer.latency(
@@ -414,120 +249,43 @@ class ReplicatedRemoteTier(Tier):
                 rng=self._rng,
             )
 
-    # -- failure handling ----------------------------------------------------
+    # -- failure and recovery handling ---------------------------------------
 
-    def _on_node_crash(self, node_id):
-        area = self.areas.pop(node_id, None)
-        orphans, lost = self.map.drop_node(node_id)
-        if area is None and not orphans and not lost:
+    def _repair_page(self, victim, page_id):
+        """Generator: copy one orphaned page from a survivor to a spare."""
+        label, stored = self.cascade.location(page_id)
+        if label != self.name:
+            return  # moved or discarded since the crash
+        holders = self.map.holders(page_id)
+        if len(holders) == self.replication:
+            return  # re-placed in full since the crash
+        survivors = [
+            holder for holder in holders if not self.directory.is_down(holder)
+        ]
+        if not survivors:
+            self.map.remove_page(page_id)
+            self._record_lost([page_id])
             return
-        self.tracker.begin_repair(node_id)
-        if lost:
-            self._record_lost(lost)
-        self._repairs.append(
-            self.env.process(
-                self._repair(node_id, orphans), name="repair:" + node_id
-            )
-        )
-
-    def _record_lost(self, page_ids):
-        self.tracker.pages_lost.increment(len(page_ids))
-        if self.cascade is not None and self.cascade.failover.rebuild_on_failure:
-            self._repairs.append(
-                self.env.process(
-                    self._rebuild(page_ids), name="rebuild:{}".format(len(page_ids))
-                )
-            )
-
-    def _repair(self, node_id, orphans):
-        """Generator: restore redundancy for the victim's orphans."""
-        for page_id in orphans:
-            label, meta = self.cascade.location(page_id)
-            if label != self.name:
-                continue  # moved or discarded since the crash
-            stored = meta
-            holders = self.map.holders(page_id)
-            survivors = [
-                holder for holder in holders if not self.directory.is_down(holder)
-            ]
-            if not survivors:
-                self.map.remove_page(page_id)
-                self._record_lost([page_id])
-                continue
-            target = self._pick_repair_target(stored, exclude=holders)
-            if target is None:
-                continue  # stays under-replicated until a peer returns
-            try:
-                yield from self._one_sided(survivors[0], stored, write=False)
-                yield from self._one_sided(target, stored, write=True)
-            except _TRANSIENT:
-                continue
-            # Re-verify before committing: the page may have been swapped
-            # in (forgotten) or re-placed while the copy was in flight.
-            area = self.areas.get(target)
-            if (
-                area is None
-                or self.cascade.location(page_id)[0] != self.name
-                or self.map.holders(page_id) != holders
-                or not area.reserve(page_id, stored)
-            ):
-                continue
-            self.map.add_holder(page_id, target)
-            self.tracker.pages_re_replicated.increment()
-        self.tracker.complete_repair(node_id)
-
-    def _rebuild(self, page_ids):
-        """Generator: re-place wholly lost pages below, from the backup."""
-        for page_id in page_ids:
-            label, meta = self.cascade.location(page_id)
-            if label != self.name:
-                continue
-            stored = meta
-            yield from self.node.hdd.read(self.node.alloc_disk_span(0), PAGE_SIZE)
-            yield from self.cascade.place(
-                DisplacedPage(page_id, stored), stored, self.index + 1
-            )
-            self.rebuilds += 1
-
-    def _pick_repair_target(self, nbytes, exclude=()):
-        exclude = set(exclude)
-        live = sorted(
-            (
-                area
-                for area in self.areas.values()
-                if area.node_id not in exclude
-                and area.can_fit(nbytes)
-                and not self.directory.is_down(area.node_id)
-            ),
-            key=lambda area: (-area.free_bytes, area.node_id),
-        )
-        return live[0].node_id if live else None
-
-    # -- recovery handling ---------------------------------------------------
-
-    def _on_node_recover(self, node_id):
-        if node_id == self.node.node_id or node_id in self.areas:
+        target = self._pick_spare(stored, exclude=holders)
+        if target is None:
+            return  # stays under-replicated until a peer returns
+        try:
+            yield from self._one_sided(survivors[0], stored, write=False)
+            yield from self._one_sided(target, stored, write=True)
+        except _TRANSIENT:
             return
-        if node_id not in self.directory.peers_of(self.node.node_id):
+        # Re-verify before committing: the page may have been swapped
+        # in (forgotten) or re-placed while the copy was in flight.
+        area = self.areas.get(target)
+        if (
+            area is None
+            or self.cascade.location(page_id)[0] != self.name
+            or self.map.holders(page_id) != holders
+            or not area.reserve(page_id, stored)
+        ):
             return
-        self._repairs.append(
-            self.env.process(self._readmit(node_id), name="readmit:" + node_id)
-        )
-
-    def _readmit(self, node_id):
-        """Generator: re-reserve an area on a recovered peer, with backoff,
-        then top it up with under-replicated pages."""
-        policy = self.READMIT_POLICY
-        for attempt in range(1, policy.max_attempts + 1):
-            if self.directory.is_down(node_id):
-                return
-            admitted = yield from reserve_area(self, node_id)
-            if admitted:
-                self.tracker.nodes_recovered.increment()
-                yield from self._top_up(node_id)
-                return
-            if attempt < policy.max_attempts:
-                yield self.env.timeout(policy.delay(attempt, self._rng))
+        self.map.add_holder(page_id, target)
+        self.tracker.pages_re_replicated.increment()
 
     def _top_up(self, node_id):
         """Generator: batch-copy under-replicated pages onto the peer.
@@ -545,7 +303,7 @@ class ReplicatedRemoteTier(Tier):
             return
         groups = {}  # source holder -> [(page_id, stored)]
         budget = area.free_bytes
-        for page_id in self.map.under_replicated():
+        for page_id in self.map.incomplete():
             label, meta = self.cascade.location(page_id)
             if label != self.name:
                 continue
@@ -579,7 +337,7 @@ class ReplicatedRemoteTier(Tier):
                     if (
                         node_id in holders
                         or source not in holders
-                        or len(holders) >= self.map.factor
+                        or len(holders) >= self.replication
                         or not area.can_fit(stored)
                         or not area.reserve(page_id, stored)
                     ):
@@ -599,30 +357,16 @@ class ReplicatedRemoteTier(Tier):
         if batch:
             yield batch
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def forget(self, page_id, label, meta):
-        for holder in self.map.holders(page_id):
-            area = self.areas.get(holder)
-            if area is not None:
-                area.release(page_id)
-        self.map.remove_page(page_id)
-
     # -- reporting -----------------------------------------------------------
 
-    def snapshot(self):
-        row = self.stats.row()
-        row.update(self.tracker.snapshot())
-        row.update(
-            {
-                "replication": self.replication,
-                "replica_fallbacks": self.replica_fallbacks,
-                "rebuilds": self.rebuilds,
-                "write_protocol": self.write_protocol,
-                "write_rounds": self.write_rounds,
-                "conflicts_detected": self.conflicts_detected,
-                # Physical bytes per logical byte stored (r copies).
-                "overhead_x": float(self.replication),
-            }
-        )
-        return row
+    def _scheme_columns(self):
+        return {
+            "replication": self.replication,
+            "replica_fallbacks": self.replica_fallbacks,
+            "rebuilds": self.rebuilds,
+            "write_protocol": self.write_protocol,
+            "write_rounds": self.write_rounds,
+            "conflicts_detected": self.conflicts_detected,
+            # Physical bytes per logical byte stored (r copies).
+            "overhead_x": float(self.replication),
+        }

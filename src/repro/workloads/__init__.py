@@ -28,9 +28,7 @@ recorded traces, batch-first synthetics — implements **one** contract
 
 Operation-granular specs (the KV family) additionally expose
 ``iter_operations(rng)`` / ``ops_batch(rng, count)`` yielding
-``(first_page_id, page_count, is_write)``.  The pre-unification names
-(``trace``/``trace_batch``/``operations``/``operations_batch``) remain
-as deprecation shims for one release.
+``(first_page_id, page_count, is_write)``.
 
 Modules
 -------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.mem.compression import CompressibilityProfile
 from repro.workloads.patterns import ZipfSampler
-from repro.workloads.spec import deprecated_method, spec_batch
+from repro.workloads.spec import spec_batch
 
 __all__ = ["AccessBatch", "ZipfBatchSpec", "flatten_requests", "materialize"]
 
@@ -148,7 +148,3 @@ class ZipfBatchSpec:
         from dataclasses import replace
 
         return replace(self, **kwargs)
-
-    # Pre-unification surface (one release of deprecation shims).
-    trace = deprecated_method("trace", "iter_accesses")
-    trace_batch = deprecated_method("trace_batch", "as_batch")

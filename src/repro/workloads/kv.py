@@ -19,7 +19,6 @@ from operator import ge
 
 from repro.mem.compression import CompressibilityProfile
 from repro.workloads.patterns import ZipfSampler
-from repro.workloads.spec import deprecated_method
 
 #: Operations :meth:`KvWorkloadSpec.iter_operations` draws per block.
 OPS_BLOCK = 1024
@@ -155,10 +154,6 @@ class KvWorkloadSpec:
         from dataclasses import replace
 
         return replace(self, **kwargs)
-
-    # Pre-unification surface (one release of deprecation shims).
-    operations = deprecated_method("operations", "iter_operations")
-    operations_batch = deprecated_method("operations_batch", "ops_batch")
 
 
 def _profile(name, mean, sigma=0.4, incompressible=0.1):

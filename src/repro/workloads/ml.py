@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.mem.compression import CompressibilityProfile
 from repro.workloads.patterns import ZipfSampler
-from repro.workloads.spec import deprecated_method
 
 
 @dataclass
@@ -99,10 +98,6 @@ class MlWorkloadSpec:
         from dataclasses import replace
 
         return replace(self, **kwargs)
-
-    # Pre-unification surface (one release of deprecation shims).
-    trace = deprecated_method("trace", "iter_accesses")
-    trace_batch = deprecated_method("trace_batch", "as_batch")
 
 
 def _profile(name, mean, sigma=0.35, incompressible=0.05):

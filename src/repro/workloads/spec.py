@@ -1,11 +1,9 @@
 """The unified workload-spec protocol (streamed + batched + open-loop).
 
-Historically the two workload families exposed *split* surfaces: ML
-specs had ``trace(rng)`` / ``trace_batch(rng)``, KV specs had
-``operations(rng)`` / ``operations_batch(rng, count)``.  Every consumer
-(runners, the flat-path kernel, experiments, benchmarks) had to know
-which family it was holding.  This module defines the one contract they
-all implement now — the **WorkloadSpec protocol**:
+Every workload family — ML sweeps, KV serving, recorded traces,
+batch specs — implements one contract, so no consumer (runners, the
+flat-path kernel, experiments, benchmarks) needs to know which family
+it holds.  This module defines it — the **WorkloadSpec protocol**:
 
 ``name`` / ``pages`` / ``compressibility``
     Identification and sizing, unchanged.
@@ -35,63 +33,19 @@ Operation-granular specs (the KV family) additionally keep
 ``iter_operations(rng)`` / ``ops_batch(rng, count)`` yielding
 ``(first_page_id, page_count, is_write)`` tuples — serving drivers
 need operation boundaries that a flat page stream erases.
-
-The old method names remain as deprecation shims (one release): they
-delegate to the new names and emit :class:`DeprecationWarning`.
 """
 
-import warnings
-
 __all__ = [
-    "deprecated_method",
     "iter_accesses",
     "spec_batch",
 ]
 
 
-def deprecated_method(old, new):
-    """A method shim: ``old()`` warns and delegates to ``new()``.
-
-    Used by the workload dataclasses to keep the pre-unification
-    surface (``trace``/``trace_batch``/``operations``/
-    ``operations_batch``) importable for one release.
-    """
-
-    def shim(self, *args, **kwargs):
-        warnings.warn(
-            "{}() is deprecated; use {}() (unified WorkloadSpec "
-            "protocol, see repro.workloads.spec)".format(old, new),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new)(*args, **kwargs)
-
-    shim.__name__ = old
-    shim.__doc__ = "Deprecated alias for :meth:`{}`.".format(new)
-    return shim
-
-
 def iter_accesses(spec, rng):
-    """``spec``'s streamed reference string, protocol-dispatched.
-
-    Prefers the unified ``iter_accesses`` method; falls back to the
-    legacy ``trace`` method (with a deprecation warning) so duck-typed
-    third-party specs keep working for one release.
-    """
+    """``spec``'s streamed reference string, protocol-dispatched."""
     method = getattr(spec, "iter_accesses", None)
     if method is not None:
         return method(rng)
-    legacy = getattr(spec, "trace", None)
-    if legacy is not None:
-        warnings.warn(
-            "spec {!r} only implements the legacy trace() surface; "
-            "rename it to iter_accesses()".format(
-                getattr(spec, "name", spec)
-            ),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return legacy(rng)
     raise TypeError(
         "{!r} does not implement the WorkloadSpec protocol "
         "(no iter_accesses)".format(spec)
@@ -110,17 +64,6 @@ def spec_batch(spec, rng, length=None):
 
     method = getattr(spec, "as_batch", None)
     if method is None:
-        legacy = getattr(spec, "trace_batch", None)
-        if legacy is not None:
-            warnings.warn(
-                "spec {!r} only implements the legacy trace_batch() "
-                "surface; rename it to as_batch()".format(
-                    getattr(spec, "name", spec)
-                ),
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return legacy(rng)
         return AccessBatch.from_pairs(iter_accesses(spec, rng))
     if length is None:
         return method(rng)

@@ -31,7 +31,6 @@ Format (text, one record per line)::
 """
 
 from repro.mem.compression import CompressibilityProfile
-from repro.workloads.spec import deprecated_method
 from repro.workloads.spec import iter_accesses as _iter_accesses
 
 __all__ = ["RecordedTrace", "record_trace", "save_trace", "load_trace"]
@@ -68,9 +67,6 @@ class RecordedTrace:
         """Replay the recorded accesses (``rng`` accepted for interface
         compatibility; replay is exact and ignores it)."""
         return iter(self.accesses)
-
-    # Pre-unification surface (one release of deprecation shims).
-    trace = deprecated_method("trace", "iter_accesses")
 
     def with_overrides(self, **kwargs):
         """Interface parity with the generator specs (only

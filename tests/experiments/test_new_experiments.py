@@ -48,7 +48,7 @@ def test_ballooning_ablation_shape():
 
 
 def test_cli_registry_covers_everything():
-    from repro.experiments.__main__ import EXPERIMENTS
+    from repro.experiments.registry import EXPERIMENTS
 
     assert {"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
             "fig9", "fig10", "ablations", "discussion",

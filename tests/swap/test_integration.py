@@ -16,7 +16,14 @@ def completion(backend, fit=0.5, **kwargs):
     return run_paging_workload(backend, SMALL, fit, seed=3, **kwargs).completion_time
 
 
-def test_factory_knows_all_backends(cluster):
+def test_factory_knows_all_backends():
+    from repro.core.cluster import DisaggregatedCluster
+    from repro.experiments.runner import default_cluster_config
+
+    # Seven nodes: ec-remote's 4+2 stripe needs six peers.
+    cluster = DisaggregatedCluster.build(
+        default_cluster_config(seed=11, num_nodes=7)
+    )
     node = cluster.nodes()[0]
     for name in BACKEND_NAMES:
         backend = make_swap_backend(name, node, cluster)

@@ -6,7 +6,8 @@ from repro.core.cluster import DisaggregatedCluster
 from repro.experiments.runner import default_cluster_config
 from repro.mem.page import make_pages
 from repro.swap.factory import make_swap_backend
-from repro.tiers.erasure import StripeCodec, StripeMap
+from repro.tiers.erasure import StripeCodec
+from repro.tiers.redundant import PlacementMap
 
 
 class TestStripeCodec:
@@ -75,24 +76,24 @@ class TestStripeCodec:
 
 class TestStripeMap:
     def test_place_and_fragments(self):
-        smap = StripeMap(4, 2)
+        smap = PlacementMap(4, 2)
         smap.place(1, ["a", "b", "c", "d", "e", "f"])
         assert smap.fragments(1) == {0: "a", 1: "b", 2: "c", 3: "d",
                                      4: "e", 5: "f"}
-        assert smap.holders(1) == ["a", "b", "c", "d", "e", "f"]
+        assert smap.holders(1) == ("a", "b", "c", "d", "e", "f")
         assert smap.pages_on("c") == [1]
         assert 1 in smap and len(smap) == 1
         assert smap.missing(1) == []
 
     def test_place_requires_distinct_full_stripe(self):
-        smap = StripeMap(4, 2)
+        smap = PlacementMap(4, 2)
         with pytest.raises(ValueError):
             smap.place(1, ["a", "b", "c"])
         with pytest.raises(ValueError):
             smap.place(1, ["a", "b", "c", "d", "e", "a"])
 
     def test_drop_node_splits_degraded_and_lost(self):
-        smap = StripeMap(2, 1)
+        smap = PlacementMap(2, 1)
         smap.place(1, ["a", "b", "c"])
         smap.place(2, ["a", "d", "e"])
         degraded, lost = smap.drop_node("a")
@@ -103,7 +104,7 @@ class TestStripeMap:
         assert 1 not in smap and 2 in smap
 
     def test_set_fragment_rejects_duplicates_and_double_loads(self):
-        smap = StripeMap(2, 1)
+        smap = PlacementMap(2, 1)
         smap.place(1, ["a", "b", "c"])
         smap.drop_node("a")
         assert not smap.set_fragment(1, 1, "d")  # index 1 still held
@@ -111,10 +112,10 @@ class TestStripeMap:
         assert smap.set_fragment(1, 0, "d")
         assert smap.fragments(1)[0] == "d"
         assert not smap.set_fragment(99, 0, "d")  # unknown page
-        assert smap.under_striped() == []
+        assert smap.incomplete() == []
 
     def test_remove_page_clears_both_indexes(self):
-        smap = StripeMap(2, 1)
+        smap = PlacementMap(2, 1)
         smap.place(1, ["a", "b", "c"])
         smap.remove_page(1)
         assert smap.fragments(1) == {}
@@ -251,6 +252,15 @@ class TestErasureCodedRemoteTier:
         for page in pages:
             label, _meta = backend.location(page.page_id)
             assert label is not None and label != tier.name
+
+    def test_stripe_wider_than_the_peer_set_is_rejected(self):
+        # Four nodes give each node three peers: a 4+2 stripe cannot be
+        # placed, and the tier says so at construction instead of
+        # spilling every page to disk.
+        with pytest.raises(ValueError) as excinfo:
+            build(num_nodes=4)
+        message = str(excinfo.value)
+        assert "6 fragments" in message and "has 3" in message
 
     def test_forget_releases_fragment_space(self):
         cluster, _node, backend = build()

@@ -32,7 +32,10 @@ def test_every_named_backend_is_a_cascade(cluster_factory=None):
     from repro.experiments.runner import default_cluster_config
     from repro.tiers.cascade import TierCascade
 
-    cluster = DisaggregatedCluster.build(default_cluster_config(seed=3))
+    # Seven nodes: ec-remote's 4+2 stripe needs six peers.
+    cluster = DisaggregatedCluster.build(
+        default_cluster_config(seed=3, num_nodes=7)
+    )
     node = cluster.nodes()[0]
     for name in BACKEND_NAMES:
         backend = make_swap_backend(

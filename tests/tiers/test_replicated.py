@@ -6,12 +6,17 @@ from repro.core.cluster import DisaggregatedCluster
 from repro.experiments.runner import default_cluster_config
 from repro.mem.page import make_pages
 from repro.swap.factory import make_swap_backend
-from repro.tiers.replicated import ReplicaMap
+from repro.tiers.redundant import PlacementMap
+
+
+def replica_map(factor):
+    """A replica map: ``factor`` copies are a k = 1 placement."""
+    return PlacementMap(1, factor - 1)
 
 
 class TestReplicaMap:
     def test_place_and_holders(self):
-        rmap = ReplicaMap(3)
+        rmap = replica_map(3)
         rmap.place(1, ("a", "b", "c"))
         assert rmap.holders(1) == ("a", "b", "c")
         assert rmap.pages_on("b") == [1]
@@ -19,14 +24,15 @@ class TestReplicaMap:
 
     def test_place_requires_holders(self):
         with pytest.raises(ValueError):
-            ReplicaMap(2).place(1, ())
+            replica_map(2).place(1, ())
         with pytest.raises(ValueError):
-            ReplicaMap(0)
+            replica_map(0)
 
     def test_drop_node_splits_orphans_and_lost(self):
-        rmap = ReplicaMap(2)
+        rmap = replica_map(2)
         rmap.place(1, ("a", "b"))
-        rmap.place(2, ("a",))
+        rmap.place(2, ("a", "d"))
+        rmap.drop_node("d")  # page 2 is left with its copy on "a" only
         rmap.place(3, ("b", "c"))
         orphans, lost = rmap.drop_node("a")
         assert orphans == [1]
@@ -36,16 +42,16 @@ class TestReplicaMap:
         assert rmap.holders(3) == ("b", "c")
 
     def test_add_holder_repairs_under_replication(self):
-        rmap = ReplicaMap(2)
+        rmap = replica_map(2)
         rmap.place(1, ("a", "b"))
         rmap.drop_node("a")
-        assert rmap.under_replicated() == [1]
+        assert rmap.incomplete() == [1]
         rmap.add_holder(1, "c")
-        assert rmap.under_replicated() == []
+        assert rmap.incomplete() == []
         assert rmap.holders(1) == ("b", "c")
 
     def test_add_holder_ignores_unknown_pages_and_duplicates(self):
-        rmap = ReplicaMap(2)
+        rmap = replica_map(2)
         rmap.add_holder(9, "a")
         assert 9 not in rmap
         rmap.place(1, ("a", "b"))
@@ -53,7 +59,7 @@ class TestReplicaMap:
         assert rmap.holders(1) == ("a", "b")
 
     def test_remove_page_clears_both_indexes(self):
-        rmap = ReplicaMap(2)
+        rmap = replica_map(2)
         rmap.place(1, ("a", "b"))
         rmap.remove_page(1)
         assert rmap.holders(1) == ()
@@ -175,6 +181,16 @@ class TestReplicatedRemoteTier:
         for page in pages:
             label, _meta = backend.location(page.page_id)
             assert label is not None and label != tier.name
+
+    def test_replica_set_wider_than_the_peer_set_is_rejected(self):
+        # Three nodes give each node two peers: r = 3 cannot be placed,
+        # and the tier says so at construction instead of spilling
+        # every page to disk.
+        with pytest.raises(ValueError) as excinfo:
+            build(replication=3, num_nodes=3)
+        message = str(excinfo.value)
+        assert "3 fragments" in message and "has 2" in message
+        build(replication=2, num_nodes=3)  # two copies fit two peers
 
     def test_forget_releases_replica_space(self):
         cluster, _node, backend = build(replication=2)

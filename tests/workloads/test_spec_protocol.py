@@ -1,4 +1,4 @@
-"""The unified WorkloadSpec protocol: shims warn, dispatch stays equal."""
+"""The unified WorkloadSpec protocol: dispatch stays equal, nothing warns."""
 
 import random
 import warnings
@@ -10,51 +10,6 @@ from repro.workloads import KV_WORKLOADS, ML_WORKLOADS
 from repro.workloads.batch import ZipfBatchSpec
 from repro.workloads.spec import iter_accesses, spec_batch
 from repro.workloads.traces import record_trace
-
-
-def _shim_calls():
-    """Every deprecated (old name → equivalent new call) pair."""
-    ml = ML_WORKLOADS["kmeans"].with_overrides(pages=32, iterations=1)
-    kv = KV_WORKLOADS["redis"].with_overrides(keys=32)
-    zipf = ZipfBatchSpec(pages=16, length=8)
-    recorded = record_trace(ml, random.Random(0))
-    return [
-        ("MlWorkloadSpec.trace",
-         lambda: list(ml.trace(random.Random(1))),
-         lambda: list(ml.iter_accesses(random.Random(1)))),
-        ("MlWorkloadSpec.trace_batch",
-         lambda: ml.trace_batch(random.Random(1)).addresses,
-         lambda: ml.as_batch(random.Random(1)).addresses),
-        ("KvWorkloadSpec.operations",
-         lambda: [next(ml_it) for ml_it in [kv.operations(random.Random(2))]
-                  for _ in range(5)],
-         lambda: [next(it) for it in [kv.iter_operations(random.Random(2))]
-                  for _ in range(5)]),
-        ("KvWorkloadSpec.operations_batch",
-         lambda: kv.operations_batch(random.Random(2), 5),
-         lambda: kv.ops_batch(random.Random(2), 5)),
-        ("ZipfBatchSpec.trace",
-         lambda: list(zipf.trace(random.Random(3))),
-         lambda: list(zipf.iter_accesses(random.Random(3)))),
-        ("ZipfBatchSpec.trace_batch",
-         lambda: zipf.trace_batch(random.Random(3)).addresses,
-         lambda: zipf.as_batch(random.Random(3)).addresses),
-        ("RecordedTrace.trace",
-         lambda: list(recorded.trace()),
-         lambda: list(recorded.iter_accesses())),
-    ]
-
-
-@pytest.mark.parametrize(
-    "label,old,new", _shim_calls(), ids=[c[0] for c in _shim_calls()]
-)
-def test_deprecated_shim_warns_and_matches(label, old, new):
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        old_result = old()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        new_result = new()
-    assert old_result == new_result
 
 
 def test_new_names_do_not_warn():
