@@ -3,13 +3,15 @@
 import pytest
 
 from repro.experiments import memory_balancing as mb
+from tests.experiments.conftest import GOLDEN_SCALE
 
-SCALE = 0.05
+SCALE = GOLDEN_SCALE
 
 
 @pytest.fixture(scope="module")
-def result():
-    return mb.run(scale=SCALE, seed=0)
+def result(golden_payloads):
+    """The sweep report, from the session's shared golden cells."""
+    return mb.report(golden_payloads[mb.EXPERIMENT])
 
 
 def rows_by_cell(result):

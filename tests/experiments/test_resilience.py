@@ -3,15 +3,15 @@
 import pytest
 
 from repro.experiments import resilience_recovery as rr
-from tests.experiments.conftest import KV_SCALE
+from tests.experiments.conftest import GOLDEN_SCALE
 
-SCALE = KV_SCALE
+SCALE = GOLDEN_SCALE
 
 
 @pytest.fixture(scope="module")
-def result(kv_payloads):
-    """The sweep report, from the session's shared KV-runner cells."""
-    return rr.report(kv_payloads[rr.EXPERIMENT])
+def result(golden_payloads):
+    """The sweep report, from the session's shared golden cells."""
+    return rr.report(golden_payloads[rr.EXPERIMENT])
 
 
 def rows_by_cell(result):
