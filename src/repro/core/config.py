@@ -78,6 +78,8 @@ class ClusterConfig:
             raise ValueError("replication_factor must be >= 1")
         if self.group_size < 0:
             raise ValueError("group_size must be >= 0")
+        if self.fabric_core_concurrency < 0:
+            raise ValueError("fabric_core_concurrency must be >= 0")
         if self.group_size == 1:
             raise ValueError("group_size 1 is degenerate (no peers to share with)")
         if self.heartbeat_timeout <= self.heartbeat_period:

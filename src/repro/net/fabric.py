@@ -7,36 +7,37 @@ receive sides, not the core.  Transfers charge
 
     base latency + payload / min(tx bandwidth, rx bandwidth)
 
-while holding the sender's TX lane and the receiver's RX lane, so
-concurrent flows to or from one node queue behind each other.
+on the sender's TX lane and the receiver's RX lane, so concurrent flows
+to or from one node queue behind each other.
+
+A lane is a busy-until clock, the way a device is priced by one float,
+``avail = max(avail, now) + latency``: a transfer (or fan-out round) is
+booked at submission, begins when every lane it uses is free, at
+``max(now, free_at of each lane)``, ends one wire time later and moves
+each of those lanes' ``free_at`` to that end.  Transfers therefore run
+in submission order on each lane, and a transfer whose lanes are free
+waits exactly its wire time.  An oversubscribed switch core is ``k``
+more such clocks, of which a transfer takes the one that frees first.
 
 Failure state lives here: nodes and directed links can be marked down,
-and every transfer checks that state both when it starts and when it
-would complete (a mid-flight crash loses the transfer).
-
-A transfer nothing else could observe, with free lanes, an unlimited
-core, the path up and its end strictly next, is done in place as plain
-arithmetic (:meth:`Fabric.send_now`): the clock moves by the wire time,
-no lane is taken and nothing can fail mid-flight.
+and every transfer checks that state both when it is submitted and when
+it would complete (a mid-flight crash loses the transfer).  A transfer
+that fails or is cancelled keeps its booking: its bytes were already
+on the wire.
 """
 
 from repro.net.errors import LinkDown, RemoteNodeDown
 from repro.hw.latency import NetworkSpec
-from repro.sim import Resource
 
 
 class Nic:
-    """A node's network interface: independent TX and RX lanes."""
+    """A node's network interface: independent TX and RX lanes, each a
+    busy-until clock (the simulated time it is booked until)."""
 
-    def __init__(self, env, node_id, spec):
-        self.env = env
+    def __init__(self, node_id):
         self.node_id = node_id
-        self.spec = spec
-        self.tx = Resource(env, capacity=1, name="nic-tx:{}".format(node_id))
-        self.rx = Resource(env, capacity=1, name="nic-rx:{}".format(node_id))
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.messages_sent = 0
+        self.tx_free_at = self.rx_free_at = 0.0
+        self.bytes_sent = self.bytes_received = self.messages_sent = 0
 
 
 class Fabric:
@@ -44,8 +45,9 @@ class Fabric:
 
     def __init__(self, env, spec=None, core_concurrency=0):
         """``core_concurrency`` > 0 caps concurrent transfers through
-        the switch core — an oversubscribed fabric.  0 models full
-        bisection bandwidth (the paper testbed's non-blocking fabric).
+        the switch core — an oversubscribed fabric of that many
+        busy-until clocks.  0 models full bisection bandwidth (the paper
+        testbed's non-blocking fabric).
         """
         self.env = env
         self.spec = spec or NetworkSpec()
@@ -53,11 +55,8 @@ class Fabric:
         self._down_nodes = set()
         self._down_links = set()  # directed (src, dst) pairs
         self._degraded = {}  # node_id -> latency/bandwidth multiplier
-        self._lane_order = {}  # (src, dsts) -> lanes in acquisition order
-        self._core = (
-            Resource(env, capacity=core_concurrency, name="fabric-core")
-            if core_concurrency > 0 else None
-        )
+        #: The switch core's busy-until clocks, or ``None`` if unlimited.
+        self._core = [0.0] * core_concurrency if core_concurrency > 0 else None
         self.total_bytes = 0
         self.total_messages = 0
 
@@ -67,7 +66,7 @@ class Fabric:
         """Attach a node; returns its :class:`Nic`."""
         if node_id in self._nics:
             raise ValueError("node {!r} already attached".format(node_id))
-        nic = Nic(self.env, node_id, self.spec)
+        nic = Nic(node_id)
         self._nics[node_id] = nic
         return nic
 
@@ -159,20 +158,18 @@ class Fabric:
         on top of the base RDMA latency.  Same failure semantics as
         :meth:`transfer`.
         """
+        extra = self.spec.send_recv_extra
         yield from self.transfer(
-            src,
-            dst,
-            nbytes,
-            base_latency=self.spec.rdma_latency + self.spec.send_recv_extra,
-            op="control",
+            src, dst, nbytes, self.spec.rdma_latency + extra, op="control"
         )
 
     def transfer(self, src, dst, nbytes, base_latency=None, op="data"):
         """Generator: move ``nbytes`` from ``src`` to ``dst``.
 
-        Holds the sender's TX lane and receiver's RX lane for the wire
-        time; raises a :class:`~repro.net.errors.NetworkError` subclass
-        if the path is (or goes) down.  ``op`` labels the traffic class
+        Books the sender's TX lane and receiver's RX lane for the wire
+        time (:meth:`reserve`); raises a
+        :class:`~repro.net.errors.NetworkError` subclass if the path is
+        (or goes) down.  ``op`` labels the traffic class
         ("data" or "control") for tracing only.
 
         Untraced, this hands back the :meth:`_send` generator itself, so
@@ -182,48 +179,38 @@ class Fabric:
         """
         if not self.env.tracer.enabled:
             return self._send(src, (dst,), nbytes, base_latency)
-        return self._traced_transfer(src, dst, nbytes, base_latency, op)
-
-    def _traced_transfer(self, src, dst, nbytes, base_latency, op):
-        tracer = self.env.tracer
-        began = self.env.now
-        span = tracer.begin("net.send", src=src, dst=dst, nbytes=nbytes, op=op)
-        try:
-            yield from self._send(src, (dst,), nbytes, base_latency)
-        except Exception as error:
-            tracer.end(span, ok=False, error=type(error).__name__)
-            raise
-        tracer.end(span, ok=True)
-        tracer.latency("net", "send." + op, self.env.now - began)
+        return self._traced(src, (dst,), nbytes, base_latency, op, {
+            "src": src, "dst": dst, "nbytes": nbytes, "op": op,
+        })
 
     def fanout(self, src, dsts, nbytes_each, base_latency=None, op="data"):
         """Generator: one fan-out round from ``src`` to every ``dsts``.
 
         The SWARM-style single-round write primitive: the sender posts
         one doorbell that replicates ``nbytes_each`` to every
-        destination in parallel, holding its TX lane for *one* wire
+        destination in parallel, booking its TX lane for *one* wire
         time (the slowest path) instead of once per copy.  All paths
-        are checked at start and at completion — a destination that is
-        (or goes) down fails the whole round; nothing is delivered
-        partially.  Emits a single ``net.send`` span carrying the
-        ``dsts`` list and a ``fanout`` count.
+        are checked at submission and at completion — a destination
+        that is (or goes) down fails the whole round; nothing is
+        delivered partially.  Emits a single ``net.send`` span carrying
+        the ``dsts`` list and a ``fanout`` count.
         """
         dsts = tuple(dsts)
         if not dsts:
             return
-        tracer = self.env.tracer
-        if not tracer.enabled:
+        if not self.env.tracer.enabled:
             yield from self._send(src, dsts, nbytes_each, base_latency)
             return
+        yield from self._traced(src, dsts, nbytes_each, base_latency, op, {
+            "src": src, "dsts": list(dsts), "nbytes": nbytes_each * len(dsts),
+            "op": op, "fanout": len(dsts),
+        })
+
+    def _traced(self, src, dsts, nbytes_each, base_latency, op, args):
+        """Generator: :meth:`_send` inside a ``net.send`` span."""
+        tracer = self.env.tracer
         began = self.env.now
-        span = tracer.begin(
-            "net.send",
-            src=src,
-            dsts=list(dsts),
-            nbytes=nbytes_each * len(dsts),
-            op=op,
-            fanout=len(dsts),
-        )
+        span = tracer.begin("net.send", **args)
         try:
             yield from self._send(src, dsts, nbytes_each, base_latency)
         except Exception as error:
@@ -232,79 +219,58 @@ class Fabric:
         tracer.end(span, ok=True)
         tracer.latency("net", "send." + op, self.env.now - began)
 
-    def chain(self, node_id, peers, nbytes, inbound, start):
-        """Plan transfers of ``nbytes`` from ``node_id`` to each of
-        ``peers`` (from each to it when ``inbound``), one per process,
-        all asking for ``node_id``'s lane at ``start``.
+    def reserve(self, src, dsts, nbytes_each, base_latency=None):
+        """Book a transfer (one destination) or fan-out round of
+        ``nbytes_each`` from ``src`` to every ``dsts`` (a tuple); returns
+        ``(begin, delay)``.
 
-        They share that one lane, so they run one after another: first
-        those that take it before their peer's lane, then the rest
-        (which ask for it a dispatch later, once they hold their
-        peer's), each group in ``peers`` order; each starts when the one
-        before it ends.  Returns ``(end, order)``, when the last ends
-        and the peers in the order they run, or ``None`` unless the
-        core is unlimited, the peers are distinct (and not none), every
-        path is up and every lane free with no waiter.  The plan holds
-        only if nothing else acts before ``end``.
+        Raises a :class:`~repro.net.errors.NetworkError` subclass,
+        booking nothing, if a path is down.  Otherwise the round begins
+        at ``max(now, free_at)`` over the TX lane of ``src``, the RX
+        lane of every ``dsts`` and the earliest-free core clock, and
+        ends one wire time later, at ``now + delay``, which becomes
+        every one of those clocks' ``free_at``.  With every lane free,
+        ``delay`` is the wire time itself.  The caller waits ``delay``
+        and then calls :meth:`land`.
         """
-        if (
-            self._core is not None or not peers or node_id in peers
-            or len(set(peers)) < len(peers)
-        ):
-            return None
-        nics = self._nics
-        lane = nics[node_id].rx if inbound else nics[node_id].tx
-        if lane.users or lane.queue_length:
-            return None
-        wire = self.transfer_time(nbytes)
-        end = start
-        first, then, later = [], [], []
-        for peer in peers:
-            src, dst = (peer, node_id) if inbound else (node_id, peer)
-            far = nics[peer].tx if inbound else nics[peer].rx
-            if far.users or far.queue_length or not self.is_reachable(src, dst):
-                return None
-            # The product each transfer computes (``wire * 1.0 == wire``).
-            time = wire * self.degrade_factor(src, dst) if self._degraded else wire
-            if self._lanes(src, (dst,))[0] is lane:
-                first.append(peer)
-                end += time
-            else:
-                then.append(peer)
-                later.append(time)
-        for time in later:
-            end += time
-        return end, first + then
-
-    def _lanes(self, src, dsts):
-        """The TX lane of ``src`` and the RX lane of every ``dsts`` (a
-        tuple), in acquisition order.
-
-        Lanes are acquired in a canonical global order, the string order
-        of the keys ``"<src>:tx"`` and ``"<dst>:rx"``, so that concurrent
-        transfers can never hold-and-wait in a cycle (deadlock).  A TX
-        and an RX key never tie, and the order never changes, so it is
-        worked out once per ``(src, dsts)``.
-        """
-        key = (src, dsts)
-        lanes = self._lane_order.get(key)
-        if lanes is None:
-            keyed = [("{}:tx".format(src), self._nics[src].tx)] + [
-                ("{}:rx".format(dst), self._nics[dst].rx) for dst in dsts
-            ]
-            keyed.sort(key=lambda pair: pair[0])
-            lanes = tuple(lane for _key, lane in keyed)
-            self._lane_order[key] = lanes
-        return lanes
-
-    def _wire(self, src, dsts, nbytes_each, base_latency):
-        """The wire time of a round to ``dsts``: its slowest path's."""
+        if self._down_nodes or self._down_links:
+            for dst in dsts:
+                self._check_path(src, dst)
+        # The slowest path's wire time (``wire * 1.0 == wire``).
         wire = self.transfer_time(nbytes_each, base_latency)
-        if self._degraded:  # else ``wire * 1.0 == wire``
+        if self._degraded:
             wire *= max(self.degrade_factor(src, dst) for dst in dsts)
-        return wire
+        nics = self._nics
+        now = self.env.now
+        sender = nics[src]
+        begin = sender.tx_free_at
+        for dst in dsts:
+            free_at = nics[dst].rx_free_at
+            if free_at > begin:
+                begin = free_at
+        core = self._core
+        if core is not None:
+            slot = core.index(min(core))
+            begin = max(begin, core[slot])
+        if begin > now:
+            delay = begin - now + wire
+        else:
+            begin, delay = now, wire
+        end = now + delay
+        sender.tx_free_at = end
+        for dst in dsts:
+            nics[dst].rx_free_at = end
+        if core is not None:
+            core[slot] = end
+        return begin, delay
 
-    def _count(self, src, dsts, nbytes_each):
+    def land(self, src, dsts, nbytes_each):
+        """Complete a round booked with :meth:`reserve`, at its end:
+        raise if a node or link died mid-flight (the whole round is
+        lost), else count its bytes and message."""
+        if self._down_nodes or self._down_links:
+            for dst in dsts:
+                self._check_path(src, dst)
         nics = self._nics
         nbytes = nbytes_each * len(dsts)
         nic = nics[src]
@@ -315,64 +281,10 @@ class Fabric:
         self.total_bytes += nbytes
         self.total_messages += 1
 
-    def send_now(self, src, dsts, nbytes_each, base_latency=None):
-        """Move ``nbytes_each`` from ``src`` to every ``dsts`` (a tuple;
-        one destination is a transfer, more a fan-out round) in place,
-        if nothing could observe it; False changes nothing.
-
-        It goes ahead only when the core is unlimited, the TX lane of
-        ``src`` and the RX lane of every ``dsts`` have no holder and no
-        waiter, every path is up and ``env.advance(wire)`` holds.  Then
-        every claim's ``advance(0)`` would hold too, and nothing (a
-        crash, say) can act before a strictly-next time, so the lanes
-        need not be taken and the path need not be checked again at
-        the end: a free device's ``avail = max(avail, now) + wire``.
-        """
-        if self._core is not None:
-            return False
-        nics = self._nics
-        lane = nics[src].tx
-        if lane.users or lane.queue_length:
-            return False
-        for dst in dsts:
-            lane = nics[dst].rx
-            if lane.users or lane.queue_length or not self.is_reachable(src, dst):
-                return False
-        if not self.env.advance(self._wire(src, dsts, nbytes_each, base_latency)):
-            return False
-        self._count(src, dsts, nbytes_each)
-        return True
-
     def _send(self, src, dsts, nbytes_each, base_latency=None):
-        """Generator: :meth:`send_now`, or, when it refuses, the same
-        transfer or round holding every lane it needs for the wire time.
-        """
-        if self.send_now(src, dsts, nbytes_each, base_latency):
-            return
-        for dst in dsts:
-            self._check_path(src, dst)
-        lanes = self._lanes(src, dsts)
-        if self._core is not None:
-            # The core is acquired only after every lane, and its
-            # holders never wait on lanes, so no cycle can form.
-            lanes += (self._core,)
-        held = []
-        try:
-            for lane in lanes:
-                # A free lane is claimed with no event (``Resource.claim``).
-                request = lane.claim() or lane.request()
-                # Held from the request on, so an interrupted wait
-                # withdraws it (see ``Resource.release``).
-                held.append((lane, request))
-                if request.callbacks is not None:  # not claimed
-                    yield request
-            wire = self._wire(src, dsts, nbytes_each, base_latency)
-            if not self.env.advance(wire):
-                yield self.env.timeout(wire)
-            # A node or link that died mid-flight loses the whole round.
-            for dst in dsts:
-                self._check_path(src, dst)
-            self._count(src, dsts, nbytes_each)
-        finally:
-            for lane, request in held:
-                lane.release(request)
+        """Generator: :meth:`reserve`, one wait, :meth:`land`."""
+        delay = self.reserve(src, dsts, nbytes_each, base_latency)[1]
+        env = self.env
+        if not env.advance(delay):
+            yield env.timeout(delay)
+        self.land(src, dsts, nbytes_each)

@@ -120,7 +120,8 @@ def call_with_timeout(env, generator, timeout, what=""):
 
     The operation runs as a child process; if the watchdog fires first
     the child is interrupted (its ``finally`` blocks release held
-    resources) and :class:`~repro.net.errors.OpTimeout` is raised.
+    resources; a transfer it was waiting on keeps its booked lanes) and
+    :class:`~repro.net.errors.OpTimeout` is raised.
     Failures of the operation itself propagate unchanged.
     """
     if timeout <= 0:

@@ -134,16 +134,6 @@ class Environment:
         self.now = when
         return True
 
-    def can_advance_to(self, when):
-        """True if :meth:`advance` calls summing to the absolute time
-        ``when`` would all move the clock: ``when`` is not in the past,
-        is within the run's horizon and is strictly earlier than the
-        heap head.  Changes nothing."""
-        heap = self._heap
-        return self.now <= when <= self._horizon and not (
-            heap and heap[0][0] <= when
-        )
-
     def step(self):
         """Fire the single next event; advances ``now`` to its timestamp.
 

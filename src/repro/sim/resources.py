@@ -18,10 +18,6 @@ or, equivalently, with the context-manager form::
     with disk.request() as request:
         yield request
         yield env.timeout(service_time)
-
-A hot path may first try ``disk.claim()``, which grants a free slot
-with no event when nothing could observe the wait (see
-:meth:`Resource.claim`), and fall back to the above on ``None``.
 """
 
 import heapq
@@ -92,34 +88,6 @@ class Resource:
         else:
             self._queue.append(request)
             self._grant()
-        return request
-
-    def claim(self):
-        """Take a free slot now, with no event, if nothing could see the
-        grant; returns the granted :class:`Request`, or ``None``.
-
-        For a process about to ``yield self.request()``: a request
-        granted at once is pushed at ``(now, NORMAL, seq)``, and
-        ``env.advance(0)`` holds exactly when that entry would be the
-        heap head within the run's horizon, so :meth:`Process._resume
-        <repro.sim.process.Process._resume>` would pop it in place.  A
-        claim is that grant without the push: the request comes back in
-        ``users`` and already fired, and is released like any other.
-        On ``None`` (a waiter is queued, every slot is held, or the
-        grant would not fire next) fall back to :meth:`request`.  A
-        claim is never queued, so it carries no priority.
-        """
-        if (
-            self.queue_length
-            or len(self.users) >= self.capacity
-            or not self.env.advance(0)
-        ):
-            return None
-        request = Request(self)
-        request._ok = True
-        request._value = None
-        request.callbacks = None
-        self.users.add(request)
         return request
 
     def release(self, request):

@@ -176,80 +176,86 @@ class Tier:
         its target's area to take ``nbytes`` under ``key`` (a fragmented
         arena may refuse despite the selection-time check).
 
-        Each transfer runs in a child process ``<track>:<target>``, or,
-        when :meth:`_chain` allows, all run here as the chain those
-        children would form (docs/SIMULATION.md, hot-path rules).
+        Targets with no ready queue pair connect first, one after
+        another in target order.  Then one per-message overhead, one
+        :meth:`Fabric.reserve <repro.net.fabric.Fabric.reserve>` per
+        target in target order, and a wait through their ends in that
+        order, each target's path checked at its own end.  A target
+        with no region, a failed handshake, a region it may not access
+        or a path down fails alone and books nothing.  Traced, each
+        target's transfer is one ``net.send`` span on the track
+        ``<track>:<target>``, from its booked begin to its end.
         """
         env = self.env
-        landed = [False] * len(targets)
-        chain = self._chain(targets, nbytes, write)
-        if chain is None:
-            yield env.all_of([
-                env.process(
-                    self._gather_one(target, nbytes, write, key, landed, index),
-                    name="{}:{}".format(track, target),
-                )
-                for index, target in enumerate(targets)
-            ])
-        else:
-            fabric = self.node.device.fabric
-            env.advance(fabric.spec.per_message_overhead)
-            me = self.node.node_id
-            for target, qp in chain:
-                src, dst = (me, target) if write else (target, me)
-                # ``Fabric.chain`` proved every lane free and the end
-                # strictly next, so each transfer is done in place.
-                if not fabric.send_now(src, (dst,), nbytes):
-                    raise RuntimeError(
-                        "chain transfer {} -> {} refused".format(src, dst)
-                    )
-                qp.ops_completed += 1
-                landed[targets.index(target)] = not write or self._reserve(
-                    target, key, nbytes
-                )
-        return [target for target, ok in zip(targets, landed) if ok]
-
-    def _chain(self, targets, nbytes, write):
-        """``[(target, queue pair)]`` in the order :meth:`_gather`'s
-        children would take the caller's NIC lane, if running them in
-        place is exact: untraced (the children own the trace tracks),
-        every target reached through a ready queue pair and a region it
-        may access, no lane busy and the end strictly next
-        (:meth:`Fabric.chain <repro.net.fabric.Fabric.chain>`,
-        ``env.can_advance_to``).  Otherwise ``None``."""
-        env = self.env
-        if env.tracer.enabled:
-            return None
         device = self.node.device
-        qps = {}
-        for target in targets:
-            qps[target] = qp = device.ready_qp(target)
-            region = self.directory.receive_region_of(target)
-            if qp is None or region is None:
-                return None
-            try:
-                qp.check_region(region, nbytes)
-            except RemoteAccessError:
-                return None
         fabric = device.fabric
-        plan = fabric.chain(
-            self.node.node_id, targets, nbytes, not write,
-            env.now + fabric.spec.per_message_overhead,
+        directory = self.directory
+        links = []
+        for target in targets:
+            region = directory.receive_region_of(target)
+            if region is None:
+                continue
+            qp = device.ready_qp(target)
+            if qp is None:
+                try:
+                    qp = yield from device.connect(directory.device_of(target))
+                except NetworkError:
+                    continue
+            links.append((target, region, qp))
+        overhead = fabric.spec.per_message_overhead
+        if not env.advance(overhead):
+            yield env.timeout(overhead)
+        tracer = env.tracer
+        me = self.node.node_id
+        booked = []
+        for target, region, qp in links:
+            src, dst = (me, target) if write else (target, me)
+            try:
+                qp._require_ready()
+                qp.check_region(region, nbytes)
+            except NetworkError:
+                continue
+            try:
+                begin, delay = fabric.reserve(src, (dst,), nbytes)
+            except NetworkError as error:
+                qp._fail()
+                if tracer.enabled:
+                    self._send_span(track, target, src, dst, nbytes,
+                                    env.now, env.now, error)
+                continue
+            booked.append((target, qp, src, dst, begin, env.now + delay))
+        submitted = env.now
+        landed = []
+        for target, qp, src, dst, begin, end in booked:
+            delay = end - env.now
+            if not env.advance(delay):
+                yield env.timeout(delay)
+            try:
+                fabric.land(src, (dst,), nbytes)
+            except NetworkError as error:
+                qp._fail()
+                if tracer.enabled:
+                    self._send_span(track, target, src, dst, nbytes,
+                                    begin, env.now, error)
+                continue
+            qp.ops_completed += 1
+            if tracer.enabled:
+                self._send_span(track, target, src, dst, nbytes, begin,
+                                env.now)
+                tracer.latency("net", "send.data", env.now - submitted)
+            area = self.areas.get(target) if write else None
+            if area is None or area.reserve(key, nbytes):
+                landed.append(target)
+        return landed
+
+    def _send_span(self, track, target, src, dst, nbytes, begin, end,
+                   error=None):
+        """Record a gathered transfer's ``net.send`` span."""
+        failed = {} if error is None else {"error": type(error).__name__}
+        self.env.tracer.span_at(
+            "net.send", begin, end, "{}:{}".format(track, target), src=src,
+            dst=dst, nbytes=nbytes, op="data", ok=error is None, **failed
         )
-        if plan is None or not env.can_advance_to(plan[0]):
-            return None
-        return [(target, qps[target]) for target in plan[1]]
-
-    def _gather_one(self, target, nbytes, write, key, landed, index):
-        try:
-            yield from self._one_sided(target, nbytes, write)
-        except NetworkError:
-            return
-        landed[index] = not write or self._reserve(target, key, nbytes)
-
-    def _reserve(self, target, key, nbytes):
-        area = self.areas.get(target)
-        return area is None or area.reserve(key, nbytes)
 
     # -- reporting -----------------------------------------------------------
 

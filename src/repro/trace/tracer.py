@@ -175,7 +175,19 @@ class Tracer:
             return None
         if extra:
             span.args.update(extra)
-        now = self.env.now
+        return self._close(span, self.env.now)
+
+    def span_at(self, name, begin, end, track, **args):
+        """Record a whole span with explicit ``begin`` and ``end`` times
+        on ``track``: an operation booked ahead of its running, like a
+        gathered transfer."""
+        if not self._wanted(name):
+            return None
+        return self._close(
+            Span(name, track, begin, self._next_seq(name), args), end
+        )
+
+    def _close(self, span, now):
         dur = now - span.begin
         # Float-safe duration: ``ts + dur`` must reconstruct an end no
         # later than ``now``, or two sibling spans sharing a boundary

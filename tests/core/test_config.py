@@ -27,6 +27,12 @@ def test_validation():
         ClusterConfig(heartbeat_period=2.0, heartbeat_timeout=1.0)
 
 
+def test_a_negative_fabric_core_is_rejected():
+    with pytest.raises(ValueError, match="fabric_core_concurrency"):
+        ClusterConfig(fabric_core_concurrency=-1)
+    assert ClusterConfig(fabric_core_concurrency=0).fabric_core_concurrency == 0
+
+
 def test_with_overrides():
     config = ClusterConfig(num_nodes=4)
     other = config.with_overrides(num_nodes=8, server_memory_bytes=32 * MiB)

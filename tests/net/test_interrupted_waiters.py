@@ -1,9 +1,12 @@
-"""An interrupted waiter must give its queued lane request back.
+"""An interrupted waiter must not leave a device booked forever.
 
-``call_with_timeout`` interrupts an operation that is still waiting for
-a contended lane.  Its request is withdrawn when the operation's
-``finally`` releases it; otherwise the lane would later be granted to
-nobody and stay held forever, starving every later requester.
+``call_with_timeout`` interrupts an operation that is still waiting.
+On a :class:`Resource` (disks, DRAM) its queued request is withdrawn
+when the operation's ``finally`` releases it; otherwise the slot would
+later be granted to nobody and stay held forever, starving every later
+requester.  A NIC lane is a busy-until clock instead: a cancelled
+transfer keeps its booking (its bytes are already on the wire), and
+the lane is free again when that booking ends.
 """
 
 import pytest
@@ -79,8 +82,9 @@ def test_interrupted_fabric_transfer_does_not_leak_a_lane():
         yield from fabric.transfer(src, dst, nbytes)
         done[name] = env.now
 
-    # The holder occupies b's RX lane; the waiter gives up at half time
-    # while queued on it; a later transfer into b must still get it.
+    # The holder books b's RX lane; the waiter, booked behind it, gives
+    # up at half time but keeps its booking; a later transfer into b
+    # runs after both.
     env.process(move("holder", "a", "b", 1024 * KiB))
     log = []
     env.process(later(env, big / 4, timed_out(
@@ -88,13 +92,15 @@ def test_interrupted_fabric_transfer_does_not_leak_a_lane():
     )))
     env.process(later(env, 0.75 * big, move("late", "c", "b", small)))
     env.run()
+    wire = fabric.transfer_time(small)
     assert log == [("waiter", "timed out", pytest.approx(big / 2))]
     assert set(done) == {"holder", "late"}
-    assert done["late"] == pytest.approx(big + fabric.transfer_time(small))
-    for node in ("a", "b", "c"):
-        nic = fabric.nic(node)
-        assert nic.tx.count == nic.rx.count == 0
-        assert nic.tx.queue_length == nic.rx.queue_length == 0
+    assert done["late"] == pytest.approx(big + 2 * wire)
+    assert fabric.nic("b").rx_free_at == done["late"]
+    assert fabric.nic("c").tx_free_at == done["late"]
+    # Only the two completed transfers count.
+    assert fabric.total_messages == 2
+    assert fabric.nic("b").bytes_received == 1024 * KiB + small
 
 
 def test_interrupted_fanout_does_not_leak_a_lane():
@@ -120,9 +126,10 @@ def test_interrupted_fanout_does_not_leak_a_lane():
     )))
     env.process(later(env, 0.75 * big, fan("late", "a", ["b", "c"])))
     env.run()
+    wire = fabric.transfer_time(4 * KiB)
     assert log == [("waiter", "timed out", pytest.approx(big / 2))]
     assert set(done) == {"holder", "late"}
-    for node in ("a", "b", "c", "d"):
-        nic = fabric.nic(node)
-        assert nic.tx.count == nic.rx.count == 0
-        assert nic.tx.queue_length == nic.rx.queue_length == 0
+    assert done["late"] == pytest.approx(big + 2 * wire)
+    for lane in ("b", "c"):
+        assert fabric.nic(lane).rx_free_at == done["late"]
+    assert fabric.nic("a").tx_free_at == done["late"]

@@ -62,7 +62,13 @@ def test_cluster_config_wires_core_concurrency():
     from repro.core import ClusterConfig, DisaggregatedCluster
 
     cluster = DisaggregatedCluster.build(
-        ClusterConfig(num_nodes=2, fabric_core_concurrency=1, seed=1)
+        ClusterConfig(num_nodes=4, fabric_core_concurrency=1, seed=1)
     )
-    assert cluster.fabric._core is not None
-    assert cluster.fabric._core.capacity == 1
+    env, fabric = cluster.env, cluster.fabric
+    a, b, c, d = fabric.node_ids[:4]
+    start = env.now
+    makespan = run_parallel_transfers(env, fabric, [(a, b), (c, d)])
+    # Two disjoint flows through a one-transfer core run back to back.
+    assert makespan - start == pytest.approx(
+        2 * fabric.transfer_time(1024 * KiB)
+    )

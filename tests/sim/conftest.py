@@ -12,10 +12,9 @@ driven by per-process scripts (:func:`random_scripts` draws seeded
 ones), and :func:`observe` runs it and returns its fire log and the
 clock after every ``run`` call.  Its plain waits go through
 :meth:`Model.sleep` and its slot holds through :meth:`Model.hold`;
-:class:`AdvanceModel` sleeps through ``Environment.advance``, and
-``test_claim.py`` holds through ``Resource.claim``.  Both are checked
-against :func:`reference_advance`, which refuses every advance (and so
-every claim).
+:class:`AdvanceModel` sleeps through ``Environment.advance``, and is
+checked against :func:`reference_advance`, which refuses every
+advance.
 """
 
 import random
@@ -237,7 +236,7 @@ class Model:
         return (yield from self.wait(name, self.env.timeout(delay, value)))
 
     def hold(self, name, resource, *priority):
-        """Hold a slot of ``resource`` for 0.25; a subclass may claim it."""
+        """Hold a slot of ``resource`` for 0.25."""
         request = resource.request(*priority)
         try:
             if (yield from self.wait(name, request)):

@@ -52,6 +52,24 @@ def test_span_wire_shape():
     assert tracer.events_json() == [event]
 
 
+def test_span_at_records_explicit_times_on_a_named_track():
+    env = Environment()
+    tracer = Tracer(env, filter=("net",))
+    event = tracer.span_at("net.send", 1.5, 4.0, "stripe:7:node2", ok=True)
+    assert event == {
+        "name": "net.send",
+        "ph": "X",
+        "ts": 1.5,
+        "dur": 2.5,
+        "track": "stripe:7:node2",
+        "seq": 0,
+        "args": {"ok": True},
+    }
+    assert env.now == 0.0  # the clock is not read or moved
+    assert tracer.span_at("tier.put", 0.0, 1.0, "t") is None  # filtered
+    assert tracer.events_json() == [event]
+
+
 def test_instant_wire_shape_and_seq_monotonicity():
     env = Environment()
     tracer = Tracer(env)
